@@ -18,18 +18,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .connectivity import connectivity_report, correlation_table
 from .graphs import (
+    FAMILIES,
     Complete,
     CompleteBipartite,
     FamilySpec,
     JoinedComplete,
     PaleyPrime,
-    Petersen,
-    Rook,
     Simplex,
     build,
     family_name,
@@ -73,58 +72,46 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dep_tol() -> float:
-    return float(os.environ.get("CTQW_TOL", "1e-10"))
+    raw = os.environ.get("CTQW_TOL", "1e-10")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"CTQW_TOL must be a finite positive number, got {raw!r}")
+    return tol
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # --- family argument plumbing ---------------------------------------------------
 
 
-_FAMILY_ARGS: dict[str, tuple[tuple[str, str], ...]] = {
-    "complete": (("n", "vertex count"),),
-    "cbg": (("n1", "trap-side partition size"), ("n2", "opposite partition size")),
-    "paley": (("p", "prime modulus, p = 1 (mod 4)"),),
-    "petersen": (),
-    "rook": (("n", "board side length"),),
-    "jcg": (("half", "vertices in each joined complete graph"),),
-    "simplex": (("m", "vertices per block (m+1 blocks)"),),
-}
-
-
 def _add_family_parsers(subparsers, configure) -> None:
-    for fam, params in _FAMILY_ARGS.items():
+    for fam, (spec_cls, _) in FAMILIES.items():
         sub = subparsers.add_parser(fam)
-        for name, help_text in params:
-            sub.add_argument(f"--{name}", type=int, required=True, help=help_text)
+        for f in fields(spec_cls):
+            sub.add_argument(f"--{f.name}", type=int, required=True, help=f.metadata["help"])
         sub.set_defaults(family=fam)
         configure(sub)
 
 
 def _spec_from_args(args) -> FamilySpec:
-    fam = args.family
-    if fam == "complete":
-        return Complete(args.n)
-    if fam == "cbg":
-        return CompleteBipartite(args.n1, args.n2)
-    if fam == "paley":
-        return PaleyPrime(args.p)
-    if fam == "petersen":
-        return Petersen()
-    if fam == "rook":
-        return Rook(args.n)
-    if fam == "jcg":
-        return JoinedComplete(args.half)
-    return Simplex(args.m)
-
-
-def _spec_params(spec: FamilySpec) -> dict:
-    return asdict(spec)
+    spec_cls = FAMILIES[args.family][0]
+    return spec_cls(**{f.name: getattr(args, f.name) for f in fields(spec_cls)})
 
 
 # --- state parsing ----------------------------------------------------------------
 
 
+def _is_index(token: str) -> bool:
+    return token.lstrip("-").isdigit()
+
+
 def _vertex_or_class(g, token: str) -> tuple[int, str | None]:
-    if token.lstrip("-").isdigit():
+    if _is_index(token):
         v = int(token)
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
@@ -139,6 +126,9 @@ def _parse_state(g, state_str: str, theta: float):
     if not sep:
         raise ValueError(f"malformed state {state_str!r}, expected kind:value")
     if kind == "class" or kind == "vertex":
+        if _is_index(rest) != (kind == "vertex"):
+            expected = "an integer vertex index" if kind == "vertex" else "a class label"
+            raise ValueError(f"{kind}: state takes {expected}, got {rest!r}")
         v, label = _vertex_or_class(g, rest)
         return Localized(v), label, None
     if kind == "super":
@@ -167,7 +157,7 @@ def _cmd_graph(args) -> int:
     report = connectivity_report(g)
     payload = {
         "family": family_name(spec),
-        "params": _spec_params(spec),
+        "params": asdict(spec),
         "graph": graph_to_json(g),
         "connectivity": {
             "min_degree": report.min_degree,
@@ -177,16 +167,21 @@ def _cmd_graph(args) -> int:
             "normalized_algebraic": _jnum(report.normalized_algebraic_conn),
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload), args.out)
     return 0
 
 
 def _cmd_efficiency(args) -> int:
+    if not math.isfinite(args.theta):
+        raise ValueError("--theta must be finite")
+    if not (math.isfinite(args.kappa) and args.kappa >= 0):
+        raise ValueError("--kappa must be finite and >= 0")
     spec = _spec_from_args(args)
     g = build(spec)
     psi0, class1, class2 = _parse_state(g, args.state, args.theta)
     report = efficiency_report(
         spec,
+        g,
         psi0,
         class1=class1,
         class2=class2,
@@ -199,7 +194,7 @@ def _cmd_efficiency(args) -> int:
     )
     payload = {
         "family": family_name(spec),
-        "params": _spec_params(spec),
+        "params": asdict(spec),
         "state": args.state,
         "theta": _jnum(args.theta),
         "kappa": _jnum(args.kappa),
@@ -212,7 +207,7 @@ def _cmd_efficiency(args) -> int:
             "dynamic_survival": _jnum(report.eta_survival),
         },
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_dumps(payload), args.out)
     if args.oracle:
         assert report.eta_lambda is not None
         assert report.eta_dynamic is not None and report.eta_survival is not None
@@ -252,13 +247,14 @@ def _dataset_fig3() -> tuple[list[str], list[list]]:
             n2 = n - n1
             if n1 < 2 or n2 < 1:
                 continue
+            spec = CompleteBipartite(n1, n2)
             rows.append(
                 [
                     float(alpha),
                     n,
-                    1.0 / (n1 - 1),
-                    1.0 / n2,
-                    (n - 1) / (2.0 * (n1 - 1) * n2),
+                    efficiency_closed_form(spec, "b"),
+                    efficiency_closed_form(spec, "a"),
+                    efficiency_closed_form(spec, "a", "b"),
                 ]
             )
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -397,7 +393,7 @@ def _cmd_sweep(args) -> int:
                 for row in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_dumps(payload), args.out)
     return 0
 
 

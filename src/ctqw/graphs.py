@@ -4,13 +4,17 @@ Every builder returns an immutable :class:`Graph` with 0-based vertex
 indices, the trap vertex at index 0 (class ``"w"``), and each remaining
 vertex tagged with the label of its symmetry class. Graphs are small
 (desk scale, a few hundred vertices at most) and stored densely.
+
+:data:`FAMILIES` registers each family once: its name, its parameter
+record (a frozen dataclass whose fields carry the CLI help) and its
+builder. :func:`build` and :func:`family_name` are lookups in it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -86,22 +90,25 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 # --- family parameter records -------------------------------------------------
+#
+# Each family is one frozen dataclass whose fields are the builder's keyword
+# arguments; the ``help`` metadata of a field becomes its CLI option help.
 
 
 @dataclass(frozen=True)
 class Complete:
-    n: int
+    n: int = field(metadata={"help": "vertex count"})
 
 
 @dataclass(frozen=True)
 class CompleteBipartite:
-    n1: int
-    n2: int
+    n1: int = field(metadata={"help": "trap-side partition size"})
+    n2: int = field(metadata={"help": "opposite partition size"})
 
 
 @dataclass(frozen=True)
 class PaleyPrime:
-    p: int
+    p: int = field(metadata={"help": "prime modulus, p = 1 (mod 4)"})
 
 
 @dataclass(frozen=True)
@@ -111,58 +118,29 @@ class Petersen:
 
 @dataclass(frozen=True)
 class Rook:
-    n: int
+    n: int = field(metadata={"help": "board side length"})
 
 
 @dataclass(frozen=True)
 class JoinedComplete:
-    half: int
+    half: int = field(metadata={"help": "vertices in each joined complete graph"})
 
 
 @dataclass(frozen=True)
 class Simplex:
-    m: int
-
-
-FamilySpec = Union[
-    Complete, CompleteBipartite, PaleyPrime, Petersen, Rook, JoinedComplete, Simplex
-]
-
-_FAMILY_NAMES = {
-    Complete: "complete",
-    CompleteBipartite: "cbg",
-    PaleyPrime: "paley",
-    Petersen: "petersen",
-    Rook: "rook",
-    JoinedComplete: "jcg",
-    Simplex: "simplex",
-}
-
-
-def family_name(spec: FamilySpec) -> str:
-    return _FAMILY_NAMES[type(spec)]
-
-
-def build(spec: FamilySpec) -> Graph:
-    """Construct the graph described by a family parameter record."""
-    if isinstance(spec, Complete):
-        return build_complete(spec.n)
-    if isinstance(spec, CompleteBipartite):
-        return build_complete_bipartite(spec.n1, spec.n2)
-    if isinstance(spec, PaleyPrime):
-        return build_paley_prime(spec.p)
-    if isinstance(spec, Petersen):
-        return build_petersen()
-    if isinstance(spec, Rook):
-        return build_rook(spec.n)
-    if isinstance(spec, JoinedComplete):
-        return build_joined_complete(spec.half)
-    if isinstance(spec, Simplex):
-        return build_simplex(spec.m)
-    raise ValueError(f"unknown family spec {spec!r}")
+    m: int = field(metadata={"help": "vertices per block (m+1 blocks)"})
 
 
 # --- builders -----------------------------------------------------------------
+
+
+def _trap_neighbor_classes(n: int, edges: list[Edge]) -> Graph:
+    """Graph with the trap at 0, class ``a`` for the trap's neighbors and
+    class ``b`` for every other vertex (the two classes of a strongly
+    regular graph)."""
+    near = {v for e in edges if 0 in e for v in e}
+    classes = {0: "w", **{v: "a" if v in near else "b" for v in range(1, n)}}
+    return Graph(n, tuple(edges), classes)
 
 
 def build_complete(n: int) -> Graph:
@@ -212,13 +190,10 @@ def build_paley_prime(p: int) -> Graph:
     if p % 4 != 1:
         raise ValueError(f"p={p} must satisfy p = 1 (mod 4)")
     residues = {(x * x) % p for x in range(1, p)}
-    edges = tuple(
+    edges = [
         (i, j) for i in range(p) for j in range(i + 1, p) if (j - i) % p in residues
-    )
-    classes = {0: "w"}
-    for v in range(1, p):
-        classes[v] = "a" if v % p in residues else "b"
-    return Graph(p, edges, classes)
+    ]
+    return _trap_neighbor_classes(p, edges)
 
 
 def build_petersen() -> Graph:
@@ -229,12 +204,7 @@ def build_petersen() -> Graph:
         edges.append((j, (j + 1) % 5))
         edges.append((j, j + 5))
         edges.append((5 + j, 5 + (j + 2) % 5))
-    g = Graph(10, tuple(edges))
-    adj = g.adjacency
-    classes = {0: "w"}
-    for v in range(1, 10):
-        classes[v] = "a" if adj[0, v] else "b"
-    return Graph(10, g.edges, classes)
+    return _trap_neighbor_classes(10, edges)
 
 
 def build_rook(n: int) -> Graph:
@@ -248,12 +218,7 @@ def build_rook(n: int) -> Graph:
             for c2 in range(c1 + 1, n):
                 edges.append((r * n + c1, r * n + c2))  # same row
                 edges.append((c1 * n + r, c2 * n + r))  # same column
-    g = Graph(n * n, tuple(edges))
-    adj = g.adjacency
-    classes = {0: "w"}
-    for v in range(1, n * n):
-        classes[v] = "a" if adj[0, v] else "b"
-    return Graph(n * n, g.edges, classes)
+    return _trap_neighbor_classes(n * n, edges)
 
 
 def build_joined_complete(half: int) -> Graph:
@@ -319,6 +284,35 @@ def build_simplex(m: int) -> Graph:
         for i in range(1, m + 1):
             classes.setdefault(gidx(block, i), "f")
     return Graph(n, tuple(edges), classes)
+
+
+# --- family registry --------------------------------------------------------------
+
+# Family name (the CLI subcommand) -> (parameter record, builder). This is
+# the only list of families: names, dispatch and CLI options derive from it.
+FAMILIES: dict[str, tuple[type, Callable[..., Graph]]] = {
+    "complete": (Complete, build_complete),
+    "cbg": (CompleteBipartite, build_complete_bipartite),
+    "paley": (PaleyPrime, build_paley_prime),
+    "petersen": (Petersen, build_petersen),
+    "rook": (Rook, build_rook),
+    "jcg": (JoinedComplete, build_joined_complete),
+    "simplex": (Simplex, build_simplex),
+}
+
+FamilySpec = Union[tuple(spec_cls for spec_cls, _ in FAMILIES.values())]
+
+
+def family_name(spec: FamilySpec) -> str:
+    for name, (spec_cls, _) in FAMILIES.items():
+        if type(spec) is spec_cls:
+            return name
+    raise ValueError(f"unknown family spec {spec!r}")
+
+
+def build(spec: FamilySpec) -> Graph:
+    """Construct the graph described by a family parameter record."""
+    return FAMILIES[family_name(spec)][1](**asdict(spec))
 
 
 # --- strongly regular graph validation ----------------------------------------

@@ -33,9 +33,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     JoinedComplete,
-    PaleyPrime,
-    Petersen,
-    Rook,
     Simplex,
     build,
     laplacian,
@@ -79,12 +76,11 @@ class SubspaceBasis:
         return float(np.sum(np.abs(amps) ** 2))
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip `v` so its first non-negligible component is positive."""
+def _sign(v: np.ndarray) -> float:
+    """Sign of the first non-negligible component of `v`; ``_sign(v) * v``
+    applies the basis sign convention."""
     nz = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
+    return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
 
 
 def krylov_basis(g: Graph, w: int = 0, tol: float = 1e-10) -> SubspaceBasis:
@@ -103,7 +99,7 @@ def krylov_basis(g: Graph, w: int = 0, tol: float = 1e-10) -> SubspaceBasis:
         nxt = orthonormalize_against(l @ vectors[-1], np.asarray(vectors), tol)
         if nxt is None:
             break
-        vectors.append(_fix_sign(nxt))
+        vectors.append(_sign(nxt) * nxt)
     return SubspaceBasis(np.asarray(vectors))
 
 
@@ -161,9 +157,7 @@ def _closed_form_vectors(spec: FamilySpec) -> list[np.ndarray]:
         e3[1:n1] = 1.0 / math.sqrt(n1 - 1)
         return [e1, e2, e3]
 
-    if isinstance(spec, (PaleyPrime, Petersen, Rook)):
-        params = srg_parameters(spec)
-        assert params is not None
+    if (params := srg_parameters(spec)) is not None:
         return _srg_closed_form_vectors(build(spec), params.n, params.k)
 
     if isinstance(spec, JoinedComplete):
@@ -230,7 +224,7 @@ def _closed_form_vectors(spec: FamilySpec) -> list[np.ndarray]:
 
 def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
     """Analytic invariant-subspace basis, gauged by the sign convention."""
-    return SubspaceBasis(np.asarray([_fix_sign(v) for v in _closed_form_vectors(spec)]))
+    return SubspaceBasis(np.asarray([_sign(v) * v for v in _closed_form_vectors(spec)]))
 
 
 def _closed_form_tridiagonal(spec: FamilySpec) -> tuple[list[float], list[float]]:
@@ -245,9 +239,7 @@ def _closed_form_tridiagonal(spec: FamilySpec) -> tuple[list[float], list[float]
         off = [-math.sqrt(n2), -math.sqrt(n2 * (n1 - 1))]
         return diag, off
 
-    if isinstance(spec, (PaleyPrime, Petersen, Rook)):
-        params = srg_parameters(spec)
-        assert params is not None
+    if (params := srg_parameters(spec)) is not None:
         k, lam, mu = params.k, params.lam, params.mu
         diag = [float(k), float(k - lam), float(mu)]
         off = [-math.sqrt(k), -math.sqrt(mu * (k - lam - 1))]
@@ -304,10 +296,7 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     diag, off = _closed_form_tridiagonal(spec)
-    signs = []
-    for v in _closed_form_vectors(spec):
-        nz = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
-        signs.append(-1.0 if (nz.size and v[nz[0]] < 0) else 1.0)
+    signs = [_sign(v) for v in _closed_form_vectors(spec)]
     m = len(diag)
     h = np.zeros((m, m), dtype=complex)
     for i in range(m):

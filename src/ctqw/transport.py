@@ -29,16 +29,12 @@ from .graphs import (
     FamilySpec,
     Graph,
     JoinedComplete,
-    PaleyPrime,
-    Petersen,
-    Rook,
     Simplex,
-    build,
     laplacian,
     srg_parameters,
 )
 from .numerics import evolve_trapped, sym_eig
-from .reduction import SubspaceBasis, _fix_sign, krylov_basis
+from .reduction import SubspaceBasis, _sign, krylov_basis
 
 
 class UnsupportedCaseError(ValueError):
@@ -83,6 +79,10 @@ class TrapSpec:
     def __post_init__(self) -> None:
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
+
+
+def _as_vector(psi0: InitialState | np.ndarray, n: int) -> np.ndarray:
+    return psi0 if isinstance(psi0, np.ndarray) else initial_state_vector(psi0, n)
 
 
 def initial_state_vector(state: InitialState, n: int) -> np.ndarray:
@@ -139,8 +139,7 @@ def efficiency_subspace(
 ) -> float:
     """Overlap of the initial state with the trap-seeded invariant subspace."""
     basis = krylov_basis(g, w, tol)
-    psi = psi0 if isinstance(psi0, np.ndarray) else initial_state_vector(psi0, g.n)
-    return basis.overlap(psi)
+    return basis.overlap(_as_vector(psi0, g.n))
 
 
 def lambda_subspace(
@@ -168,7 +167,8 @@ def lambda_subspace(
         amps = block[w, :]
         weight = float(np.linalg.norm(amps))
         if weight > degeneracy_tol:
-            collected.append(_fix_sign(block @ (amps / weight)))
+            v = block @ (amps / weight)
+            collected.append(_sign(v) * v)
         start = stop
     return SubspaceBasis(np.asarray(collected))
 
@@ -181,8 +181,7 @@ def efficiency_lambda(
 ) -> float:
     """Overlap of the initial state with the trap-visible eigenvector span."""
     basis = lambda_subspace(g, w, degeneracy_tol)
-    psi = psi0 if isinstance(psi0, np.ndarray) else initial_state_vector(psi0, g.n)
-    return basis.overlap(psi)
+    return basis.overlap(_as_vector(psi0, g.n))
 
 
 def efficiency_dynamic(
@@ -198,7 +197,7 @@ def efficiency_dynamic(
     t_max grows."""
     if trap.kappa <= 0:
         raise ValueError("dynamic efficiency needs kappa > 0")
-    psi = psi0 if isinstance(psi0, np.ndarray) else initial_state_vector(psi0, g.n)
+    psi = _as_vector(psi0, g.n)
     ev = evolve_trapped(
         laplacian(g), trap.w, trap.kappa, psi, dt=dt, t_max=t_max, stop_tol=stop_tol
     )
@@ -244,9 +243,7 @@ def _closed_form_localized(spec: FamilySpec, label: str) -> float:
             return 1.0 / (spec.n1 - 1)
         if label == "a":
             return 1.0 / spec.n2
-    elif isinstance(spec, (PaleyPrime, Petersen, Rook)):
-        params = srg_parameters(spec)
-        assert params is not None
+    elif (params := srg_parameters(spec)) is not None:
         if label == "a":
             return 1.0 / params.k
         if label == "b":
@@ -289,9 +286,7 @@ def _closed_form_pair(
         n = n1 + n2
         if pair == frozenset(("a", "b")) and n1 >= 2:
             return (n - 1) / (2.0 * (n1 - 1) * n2)
-    elif isinstance(spec, (PaleyPrime, Petersen, Rook)):
-        params = srg_parameters(spec)
-        assert params is not None
+    elif (params := srg_parameters(spec)) is not None:
         if pair == frozenset(("a", "b")):
             return (params.n - 1) / (2.0 * params.k * (params.n - params.k - 1))
     elif isinstance(spec, JoinedComplete):
@@ -377,6 +372,7 @@ class EfficiencyReport:
 
 def efficiency_report(
     spec: FamilySpec,
+    g: Graph,
     psi0: InitialState,
     *,
     class1: str | None = None,
@@ -388,13 +384,13 @@ def efficiency_report(
     t_max: float = 500.0,
     tol: float = 1e-10,
 ) -> EfficiencyReport:
-    """Evaluate every applicable route for one (graph, initial state) point.
+    """Evaluate every applicable route for one (graph, initial state) point;
+    `g` is ``build(spec)``.
 
     The subspace route always runs. The analytic route runs when class
     labels are supplied and covered. With ``oracle=True`` the eigenvector
     route and the dynamical integration run as well.
     """
-    g = build(spec)
     basis = krylov_basis(g, 0, tol)
     psi = initial_state_vector(psi0, g.n)
     eta_sub = basis.overlap(psi)

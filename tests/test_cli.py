@@ -1,9 +1,41 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from ctqw.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One small instance per family. The files under golden/ pin the CLI output
+# byte for byte; rewrite them only for an intended change of output.
+_GOLDEN_INSTANCES = {
+    "complete": ["--n", "7"],
+    "cbg": ["--n1", "5", "--n2", "3"],
+    "paley": ["--p", "13"],
+    "petersen": [],
+    "rook": ["--n", "4"],
+    "jcg": ["--half", "5"],
+    "simplex": ["--m", "4"],
+}
+
+GOLDEN_CASES = (
+    [
+        (f"sweep-{dataset}.{fmt}", ["sweep", dataset, "--format", fmt])
+        for dataset in ("fig3", "fig7", "table1")
+        for fmt in ("csv", "json")
+    ]
+    + [(f"graph-{fam}.json", ["graph", fam, *size]) for fam, size in _GOLDEN_INSTANCES.items()]
+    + [
+        (
+            f"efficiency-{fam}-{state.replace(':', '-')}.json",
+            ["efficiency", fam, *size, "--state", state],
+        )
+        for fam, size in _GOLDEN_INSTANCES.items()
+        for state in ("class:a", "vertex:1", "uniform:a")
+    ]
+)
 
 
 def run_cli(capsys, *argv):
@@ -224,3 +256,47 @@ def test_malformed_state_is_invalid_parameter(capsys):
     )
     assert code == 2
     assert "state" in err
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_output_matches_golden(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("state", ["vertex:a", "class:3", "vertex:", "class:-1"])
+def test_state_kind_must_match_value(capsys, state):
+    code, out, err = run_cli(capsys, "efficiency", "petersen", "--state", state)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and state.split(":")[0] in err
+
+
+def test_super_state_accepts_indices_and_labels(capsys):
+    _, by_label, _ = run_cli(capsys, "efficiency", "petersen", "--state", "super:a,b")
+    code, by_index, _ = run_cli(capsys, "efficiency", "petersen", "--state", "super:1,2")
+    assert code == 0
+    assert json.loads(by_index)["eta"]["subspace"] == json.loads(by_label)["eta"]["subspace"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--theta", "nan"), ("--theta", "inf"), ("--kappa", "-1"), ("--kappa", "nan"), ("--kappa", "inf")],
+)
+def test_non_finite_or_negative_numeric_flags_exit_2(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "efficiency", "petersen", "--state", "super:w,a", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
+def test_invalid_dependency_tolerance_names_env(capsys, monkeypatch, tol):
+    monkeypatch.setenv("CTQW_TOL", tol)
+    code, out, err = run_cli(capsys, "efficiency", "petersen", "--state", "class:a")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "CTQW_TOL" in err

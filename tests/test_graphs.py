@@ -226,17 +226,30 @@ def test_json_round_trip_bit_exact():
 
 
 def test_build_dispatch_covers_all_families():
+    from dataclasses import asdict, fields
+    from typing import get_args
+
     from ctqw import (
         Complete,
         CompleteBipartite,
+        FamilySpec,
         JoinedComplete,
         PaleyPrime,
         Petersen,
         Rook,
         Simplex,
+        family_name,
     )
+    from ctqw.graphs import FAMILIES
 
-    for spec, n in [
+    registered = [spec_cls for spec_cls, _ in FAMILIES.values()]
+    assert set(registered) == set(get_args(FamilySpec))
+    for member in get_args(FamilySpec):
+        assert registered.count(member) == 1
+    for spec_cls in registered:
+        assert all(f.metadata.get("help") for f in fields(spec_cls))
+
+    instances = [
         (Complete(5), 5),
         (CompleteBipartite(3, 2), 5),
         (PaleyPrime(13), 13),
@@ -244,5 +257,10 @@ def test_build_dispatch_covers_all_families():
         (Rook(3), 9),
         (JoinedComplete(4), 8),
         (Simplex(3), 12),
-    ]:
+    ]
+    assert {type(spec) for spec, _ in instances} == set(registered)
+    for spec, n in instances:
+        spec_cls, builder = FAMILIES[family_name(spec)]
+        assert spec_cls is type(spec)
+        assert build(spec) == builder(**asdict(spec))
         assert build(spec).n == n
