@@ -42,6 +42,8 @@ from .graphs import (
 from .numerics import (
     EigenSystem,
     TrappedEvolution,
+    UnstableStepError,
+    decay_horizon,
     evolve_trapped,
     orthonormalize_against,
     sym_eig,

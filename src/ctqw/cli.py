@@ -34,6 +34,7 @@ from .graphs import (
     family_name,
     graph_to_json,
 )
+from .numerics import UnstableStepError
 from .transport import (
     Explicit,
     Localized,
@@ -176,22 +177,29 @@ def _cmd_efficiency(args) -> int:
         raise ValueError("--theta must be finite")
     if not (math.isfinite(args.kappa) and args.kappa >= 0):
         raise ValueError("--kappa must be finite and >= 0")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ValueError("--dt must be finite and > 0")
+    if args.t_max is not None and not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise ValueError("--t-max must be finite and > 0")
     spec = _spec_from_args(args)
     g = build(spec)
     psi0, class1, class2 = _parse_state(g, args.state, args.theta)
-    report = efficiency_report(
-        spec,
-        g,
-        psi0,
-        class1=class1,
-        class2=class2,
-        theta=args.theta,
-        kappa=args.kappa,
-        oracle=args.oracle,
-        dt=args.dt,
-        t_max=args.t_max,
-        tol=_dep_tol(),
-    )
+    try:
+        report = efficiency_report(
+            spec,
+            g,
+            psi0,
+            class1=class1,
+            class2=class2,
+            theta=args.theta,
+            kappa=args.kappa,
+            oracle=args.oracle,
+            dt=args.dt,
+            t_max=args.t_max,
+            tol=_dep_tol(),
+        )
+    except UnstableStepError as exc:
+        raise ValueError(f"--dt: {exc}") from exc
     payload = {
         "family": family_name(spec),
         "params": asdict(spec),
@@ -432,8 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="also run the eigenvector and dynamical routes",
         )
-        sub.add_argument("--dt", type=float, default=1e-3)
-        sub.add_argument("--t-max", type=float, default=500.0, dest="t_max")
+        sub.add_argument("--dt", type=float, default=1e-3, help="RK4 step of the oracle")
+        sub.add_argument(
+            "--t-max",
+            type=float,
+            default=None,
+            dest="t_max",
+            help="oracle horizon, used as given (default: the time by which "
+            "every decaying mode keeps at most 1e-8 of its weight)",
+        )
         sub.add_argument("--out", default=None, help="output path (default stdout)")
         sub.set_defaults(handler=_cmd_efficiency)
 

@@ -309,7 +309,7 @@ def test_criterion_8_property_suites():
             efficiency_dynamic(g, TrapSpec(0, kappa), psi0)[0]
             for kappa in (0.5, 1.0, 2.0)
         ]
-        if max(values) - min(values) > 2e-2:
+        if max(values) - min(values) > 1e-6:
             failures.append(f"{spec}: eta varies with kappa: {values}")
 
     # theta independence whenever the superposition involves an "e" vertex

@@ -250,6 +250,30 @@ def test_oracle_disagreement_exits_3(capsys):
     assert json.loads(out)["eta"]["subspace"] == pytest.approx(29 / 49, abs=1e-9)
 
 
+def test_unstable_rk4_step_names_dt(capsys):
+    code, out, err = run_cli(
+        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--dt", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--dt" in err and "stability" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complete", "--n", "4", "--state", "class:a", "--kappa", "0.001"],
+        ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
+    ],
+    ids=["K4-kappa-1e-3", "JCG6-b1-kappa-0.139"],
+)
+def test_oracle_agrees_at_default_horizon(capsys, argv):
+    code, out, err = run_cli(capsys, "efficiency", *argv, "--oracle")
+    assert code == 0, err
+    eta = json.loads(out)["eta"]
+    assert eta["dynamic_absorbed"] == pytest.approx(eta["subspace"], abs=1e-6)
+
+
 def test_malformed_state_is_invalid_parameter(capsys):
     code, _, err = run_cli(
         capsys, "efficiency", "petersen", "--state", "nonsense"
@@ -282,7 +306,9 @@ def test_super_state_accepts_indices_and_labels(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--theta", "nan"), ("--theta", "inf"), ("--kappa", "-1"), ("--kappa", "nan"), ("--kappa", "inf")],
+    [("--theta", "nan"), ("--theta", "inf"), ("--kappa", "-1"), ("--kappa", "nan"), ("--kappa", "inf"),
+     ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-0.001"),
+     ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "0"), ("--t-max", "-5")],
 )
 def test_non_finite_or_negative_numeric_flags_exit_2(capsys, flag, value):
     code, out, err = run_cli(

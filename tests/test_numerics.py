@@ -1,18 +1,27 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from ctqw import (
+    UnstableStepError,
     build_complete,
+    build_joined_complete,
     build_paley_prime,
+    build_petersen,
+    decay_horizon,
     evolve_trapped,
     laplacian,
     orthonormalize_against,
     sym_eig,
 )
 
-from _oracles import symmetric_2x2_eigenvalues, symmetric_3x3_eigenvalues
+from _oracles import (
+    rk4_trapped_reference,
+    symmetric_2x2_eigenvalues,
+    symmetric_3x3_eigenvalues,
+)
 
 
 def test_sym_eig_identity():
@@ -162,3 +171,63 @@ def test_evolve_rejects_bad_parameters():
         evolve_trapped(l, 0, -1.0, good)
     with pytest.raises(ValueError):
         evolve_trapped(l, 0, 1.0, 2.0 * good)
+    with pytest.raises(ValueError):
+        evolve_trapped(l, 0, 1.0, good, t_max=math.inf)
+    with pytest.raises(UnstableStepError):
+        evolve_trapped(l, 0, 1.0, good, dt=2.0)
+
+
+def _localized(n: int, v: int) -> np.ndarray:
+    psi = np.zeros(n, dtype=complex)
+    psi[v] = 1.0
+    return psi
+
+
+# (name, Laplacian, kappa, start vertex, evolve_trapped keywords); each case
+# also pins the sample layout the block evaluation must reproduce.
+EVOLVE_CASES = [
+    ("stride 1", laplacian(build_joined_complete(3)), 1.0, 1,
+     dict(dt=1e-3, t_max=5.0, stop_tol=None, max_samples=10**6)),
+    ("nsteps not a stride multiple", laplacian(build_petersen()), 0.7, 3,
+     dict(dt=1e-3, t_max=7.777, max_samples=512)),
+    ("stride above the block cap", laplacian(build_petersen()), 0.7, 3,
+     dict(dt=0.01, t_max=30.0, max_samples=1)),
+    ("stops early", laplacian(build_complete(4)), 1.0, 1,
+     dict(dt=0.01, t_max=300.0, stop_tol=1e-4)),
+]
+
+
+@pytest.mark.parametrize(
+    "l, kappa, v, kwargs", [c[1:] for c in EVOLVE_CASES], ids=[c[0] for c in EVOLVE_CASES]
+)
+def test_evolve_matches_per_step_rk4(l, kappa, v, kwargs):
+    psi0 = _localized(l.shape[0], v)
+    ev = evolve_trapped(l, 0, kappa, psi0, **kwargs)
+    ref = rk4_trapped_reference(l, 0, kappa, psi0, **kwargs)
+    assert ev.t_final == ref["t_final"]
+    assert np.array_equal(ev.times, ref["times"])
+    assert abs(ev.absorbed - ref["absorbed"]) <= 1e-10
+    assert np.max(np.abs(ev.absorbed_at - ref["absorbed_at"])) <= 1e-10
+    assert np.max(np.abs(ev.norm_sq - ref["norm_sq"])) <= 1e-10
+    assert np.max(np.abs(ev.psi - ref["psi"])) <= 1e-10
+
+
+def test_evolve_early_stop_case_stops_early():
+    _, l, kappa, v, kwargs = EVOLVE_CASES[-1]
+    ev = evolve_trapped(l, 0, kappa, _localized(4, v), **kwargs)
+    assert ev.t_final < kwargs["t_max"] / 2
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.9, 2.5, 40.0])
+def test_decay_horizon_two_vertices(kappa):
+    # H = [[1 - i kappa, -1], [-1, 1]] has eigenvalues
+    # 1 - i kappa/2 +- sqrt(1 - kappa^2/4)
+    l = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    gamma = kappa / 2 - math.sqrt(max(0.0, kappa * kappa / 4 - 1))
+    expected = math.log(1e8) / (2 * gamma)
+    assert decay_horizon(l, 0, kappa) == pytest.approx(expected, rel=1e-9)
+
+
+def test_decay_horizon_needs_a_decaying_mode():
+    with pytest.raises(ValueError):
+        decay_horizon(laplacian(build_complete(4)), 0, 0.0)

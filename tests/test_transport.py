@@ -196,6 +196,28 @@ def test_dynamic_oracle_from_trap():
     assert survival == pytest.approx(1.0, abs=1e-2)
 
 
+_KAPPA_DECADES = [10.0**k for k in range(-2, 3)]
+_KAPPA_SWEEP = (
+    [("K4", Complete(4), "1", k) for k in [1e-3, *_KAPPA_DECADES, 1e3]]
+    + [("JCG6-b1", JoinedComplete(6), "b1", k) for k in _KAPPA_DECADES]
+    + [("simplex3-b", Simplex(3), "b", k) for k in [1e-3, *_KAPPA_DECADES, 1e3]]
+)
+
+
+@pytest.mark.parametrize(
+    "spec, where, kappa",
+    [c[1:] for c in _KAPPA_SWEEP],
+    ids=[f"{c[0]}-{c[3]:g}" for c in _KAPPA_SWEEP],
+)
+def test_dynamic_oracle_kappa_sweep_at_default_horizon(spec, where, kappa):
+    g = build(spec)
+    v = int(where) if where.isdigit() else class_representative(g, where)
+    eta = efficiency_subspace(g, 0, Localized(v))
+    absorbed, survival = efficiency_dynamic(g, TrapSpec(0, kappa), Localized(v))
+    assert absorbed == pytest.approx(eta, abs=1e-6)
+    assert survival == pytest.approx(eta, abs=1e-6)
+
+
 def test_dynamic_oracle_rejects_zero_kappa():
     with pytest.raises(ValueError):
         efficiency_dynamic(build(Complete(4)), TrapSpec(0, 0.0), Localized(1))
