@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -46,6 +47,7 @@ from .transport import (
     efficiency_report,
 )
 
+_CLOSED_FORM_TOL = 1e-9
 _LAMBDA_TOL = 1e-9
 _DYNAMIC_TOL = 1e-2
 
@@ -216,17 +218,20 @@ def _cmd_efficiency(args) -> int:
         },
     }
     _emit(_dumps(payload), args.out)
-    if args.oracle:
-        assert report.eta_lambda is not None
-        assert report.eta_dynamic is not None and report.eta_survival is not None
-        agree = (
-            abs(report.eta_lambda - report.eta_subspace) <= _LAMBDA_TOL
-            and abs(report.eta_dynamic - report.eta_subspace) <= _DYNAMIC_TOL
-            and abs(report.eta_survival - report.eta_subspace) <= _DYNAMIC_TOL
-        )
-        if not agree:
-            print("error: oracle routes disagree beyond tolerance", file=sys.stderr)
-            return 3
+    routes = (
+        ("closed_form", report.eta_closed_form, _CLOSED_FORM_TOL),
+        ("lambda", report.eta_lambda, _LAMBDA_TOL),
+        ("dynamic_absorbed", report.eta_dynamic, _DYNAMIC_TOL),
+        ("dynamic_survival", report.eta_survival, _DYNAMIC_TOL),
+    )
+    disagree = [
+        f"subspace and {name} disagree by {abs(eta - report.eta_subspace):.3g} > {tol:g}"
+        for name, eta, tol in routes
+        if eta is not None and not abs(eta - report.eta_subspace) <= tol
+    ]
+    if disagree:
+        print(f"error: {'; '.join(disagree)}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -408,7 +413,10 @@ def _cmd_sweep(args) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: handlers read the parsed
+    namespace and never modify the parser."""
     parser = argparse.ArgumentParser(
         prog="ctqw",
         description="Quantum-walk transport efficiency on structured graph families",

@@ -2,17 +2,17 @@
 
 Four primitives back everything else in the package:
 
-* :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix by
-  cyclic Jacobi rotations (guaranteed orthonormal vectors at desk scale);
+* :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix
+  (LAPACK ``eigh``, ascending values, orthonormal vectors);
 * :func:`orthonormalize_against` -- tolerance-aware Gram-Schmidt step used
   by the invariant-subspace construction;
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
   Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule.
-  The equation is linear, so one RK4 step is one precomputed matrix P; the
-  trap amplitudes of up to 1024 consecutive steps come from one product
-  with the precomputed rows <w|P^j, and a step size outside the RK4
-  stability region is rejected;
+  The equation is linear, so one RK4 step is one precomputed matrix P, and
+  the flux summed over the steps between two samples is one quadratic form
+  built by binary doubling; a step size outside the RK4 stability region,
+  or one that needs more than 2^40 steps, is rejected;
 * :func:`decay_horizon` -- the time by which every decaying mode of
   L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the dense
   eigenvalues.
@@ -26,9 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_JACOBI_SWEEP_LIMIT = 60
-_JACOBI_OFF_TOL = 1e-12  # relative to ||A||_F
-
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -40,11 +37,12 @@ class EigenSystem:
 
 
 def sym_eig(a: np.ndarray, symmetry_tol: float = 1e-12) -> EigenSystem:
-    """Full spectrum of a real symmetric matrix via cyclic Jacobi rotations.
+    """Full spectrum of a real symmetric matrix (LAPACK ``eigh``).
 
-    Sweeps run until the off-diagonal Frobenius norm drops below
-    1e-12 * ||A||_F. Raises ValueError if the input is not symmetric
-    within `symmetry_tol` (relative to the largest entry).
+    Values come in ascending order with orthonormal eigenvector columns.
+    Raises ValueError if the input is not square, or not symmetric within
+    `symmetry_tol` (relative to the largest entry); the symmetric part is
+    what gets decomposed.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -52,46 +50,8 @@ def sym_eig(a: np.ndarray, symmetry_tol: float = 1e-12) -> EigenSystem:
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if float(np.max(np.abs(a - a.T))) > symmetry_tol * scale:
         raise ValueError("matrix is not symmetric")
-
-    n = a.shape[0]
-    m = (a + a.T) / 2.0
-    v = np.eye(n)
-    fro = float(np.linalg.norm(m))
-    if n == 1 or fro == 0.0:
-        return EigenSystem(values=np.diag(m).copy(), vectors=v)
-
-    for _ in range(_JACOBI_SWEEP_LIMIT):
-        hollow = m.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if float(np.linalg.norm(hollow)) <= _JACOBI_OFF_TOL * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-30 * fro:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                mp, mq = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * mp - s * mq
-                m[:, q] = s * mp + c * mq
-                mp, mq = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * mp - s * mq
-                m[q, :] = s * mp + c * mq
-                m[p, q] = m[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-
-    values = np.diag(m).copy()
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values=values[order], vectors=v[:, order])
+    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def orthonormalize_against(
@@ -137,16 +97,23 @@ class TrappedEvolution:
 
 
 class UnstableStepError(ValueError):
-    """The RK4 step size lies outside the method's stability region."""
+    """The RK4 step size lies outside the method's stability region, or is
+    so small that the horizon needs more than 2^40 steps."""
 
 
 # Taylor coefficients of the classical RK4 stability polynomial R: one step
 # of psi' = G psi is psi <- R(dt*G) psi exactly.
 _RK4_TAYLOR = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
 _STABILITY_SLACK = 1e-12
-_MAX_BLOCK = 1024  # trap-amplitude rows precomputed per call
+# Just under 2^40 steps (K4 from class a, kappa=1, dt=3.44e-11) both routes
+# still read eta - 3.5e-7, as at dt=1e-3; larger counts are unmeasured, and
+# near 2^53 the step count itself stops being exact in floating point.
+_MAX_STEPS = 2**40
 _HORIZON_SURVIVAL = 1e-8
-_DARK_RATE_TOL = 1e-9  # relative to max(1, ||H||_F)
+# Relative to max(1, ||L||_F). Dark-mode rates are roundoff, about
+# eps * ||L||_F whatever kappa is; real rates fall as 1/kappa at large kappa,
+# so a bound that grows with kappa would hide them.
+_DARK_RATE_TOL = 1e-12
 
 
 def _trapped_hamiltonian(l: np.ndarray, w: int, kappa: float) -> np.ndarray:
@@ -166,13 +133,13 @@ def decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
     keeps 1e-8 of its weight: ln(1e8) / (2 * gamma_min).
 
     gamma_min is the smallest decay rate -Im(lambda) over the eigenvalues of
-    the dense H that decay; rates at or below 1e-9 * max(1, ||H||_F) belong
+    the dense H that decay; rates at or below 1e-12 * max(1, ||L||_F) belong
     to dark modes, which never reach the trap. Raises ValueError when no
     mode decays.
     """
     h = _trapped_hamiltonian(l, w, kappa)
     rates = -np.linalg.eigvals(h).imag
-    decaying = rates[rates > _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(h)))]
+    decaying = rates[rates > _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(h.real)))]
     if decaying.size == 0:
         raise ValueError("no mode decays: the trap never absorbs")
     return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * float(decaying.min()))
@@ -196,11 +163,13 @@ def evolve_trapped(
     error of 1.
 
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
-    which equals the four-stage update exactly. Between two sample points
-    the trap amplitudes of up to 1024 steps come from one product with the
-    precomputed rows <w|P^j, and psi jumps to the block end with P^b.
-    Raises UnstableStepError when the spectral radius of P exceeds
-    1 + 1e-12, that is when `dt` lies outside the RK4 stability region.
+    which equals the four-stage update exactly. With Q = 2*kappa |w><w|, the
+    flux summed over the b steps of one sample interval is psi^H S_b psi,
+    where S_b = sum_{j<b} (P^j)^H Q P^j; the pair (P^b, S_b) is built once
+    per interval length by binary doubling, so each interval costs O(n^2)
+    whatever its step count. Raises UnstableStepError when the spectral
+    radius of P exceeds 1 + 1e-12, that is when `dt` lies outside the RK4
+    stability region, or when t_max / dt exceeds 2^40 steps.
 
     Samples are taken every ``t_max / dt // max_samples`` steps and at the
     last step. When `stop_tol` is set, integration stops once the absorbed
@@ -215,16 +184,22 @@ def evolve_trapped(
         raise ValueError("kappa must be non-negative")
     if not (dt > 0 and t_max > 0 and math.isfinite(t_max / dt)):
         raise ValueError("dt and t_max must be positive, with a finite ratio")
+    if t_max / dt > _MAX_STEPS:
+        raise UnstableStepError(
+            f"dt={dt:g} needs {t_max / dt:.3g} steps to reach t_max={t_max:g}, "
+            f"more than the cap of 2^40"
+        )
     psi = np.asarray(psi0, dtype=complex).reshape(n).copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
 
     z = -1j * dt * h  # dt * G
     eye = np.eye(n, dtype=complex)
-    step = np.zeros_like(z)
-    for c in reversed(_RK4_TAYLOR):
-        step = z @ step + c * eye
-    radius = float(np.max(np.abs(np.linalg.eigvals(step))))
+    delta = np.zeros_like(z)  # P - I
+    for c in reversed(_RK4_TAYLOR[1:]):
+        delta = z @ delta + c * eye
+    delta = z @ delta
+    radius = float(np.max(np.abs(np.linalg.eigvals(eye + delta))))
     if radius > 1.0 + _STABILITY_SLACK:
         raise UnstableStepError(
             f"dt={dt:g} is outside the RK4 stability region: the one-step "
@@ -233,16 +208,9 @@ def evolve_trapped(
 
     nsteps = int(round(t_max / dt))
     stride = max(1, nsteps // max_samples)
-    block = min(stride, _MAX_BLOCK)
-    # rows[j] = <w| P^(j+1), filled by doubling: rows[k:2k] = rows[:k] P^k
-    rows = np.empty((block, n), dtype=complex)
-    rows[0] = step[w]
-    k, power = 1, step
-    while k < block:
-        m = min(k, block - k)
-        np.matmul(rows[:m], power, out=rows[k : k + m])
-        k, power = k + m, power @ power
-    jumps: dict[int, np.ndarray] = {}
+    q = np.zeros_like(z)
+    q[w, w] = 2.0 * kappa
+    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     absorbed = 0.0
     f_prev = 2.0 * kappa * abs(psi[w]) ** 2
@@ -252,23 +220,25 @@ def evolve_trapped(
     done = 0
 
     while done < nsteps:
-        b = min(block, stride - done % stride, nsteps - done)
-        flux = 2.0 * kappa * np.abs(rows[:b] @ psi) ** 2
-        absorbed += 0.5 * dt * (f_prev + 2.0 * float(np.sum(flux[:-1])) + flux[-1])
-        f_prev = flux[-1]
-        if b not in jumps:
-            jumps[b] = np.linalg.matrix_power(step, b)
-        psi = jumps[b] @ psi
+        b = min(stride, nsteps - done)
+        if b not in pairs:
+            pairs[b] = _flux_pair(delta, q, b)
+        jump, flux_sum = pairs[b]
+        s_b = float(np.vdot(psi, flux_sum @ psi).real)
+        psi = psi + jump @ psi
+        f_b = 2.0 * kappa * abs(psi[w]) ** 2
+        # trapezoid rule: dt * (f_0/2 + f_1 + ... + f_{b-1} + f_b/2)
+        absorbed += dt * s_b + 0.5 * dt * (f_b - f_prev)
+        f_prev = f_b
         done += b
-        if done % stride == 0 or done == nsteps:
-            t = done * dt
-            times.append(t)
-            norm_sq.append(float(np.linalg.norm(psi) ** 2))
-            absorbed_at.append(absorbed)
-            if stop_tol is not None and absorbed > stop_tol:
-                i = bisect_left(times, 0.9 * t)
-                if i < len(absorbed_at) - 1 and absorbed - absorbed_at[i] < stop_tol:
-                    break
+        t = done * dt
+        times.append(t)
+        norm_sq.append(float(np.linalg.norm(psi) ** 2))
+        absorbed_at.append(absorbed)
+        if stop_tol is not None and absorbed > stop_tol:
+            i = bisect_left(times, 0.9 * t)
+            if i < len(absorbed_at) - 1 and absorbed - absorbed_at[i] < stop_tol:
+                break
 
     return TrappedEvolution(
         psi=psi,
@@ -278,3 +248,22 @@ def evolve_trapped(
         norm_sq=np.asarray(norm_sq),
         absorbed_at=np.asarray(absorbed_at),
     )
+
+
+def _flux_pair(delta: np.ndarray, q: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P^b - I, S_b) with S_b = sum_{j<b} (P^j)^H Q P^j, from delta = P - I
+    by binary doubling over the bits of b: S_2a = S_a + (P^a)^H S_a P^a and
+    S_{a+1} = Q + P^H S_a P. Powers are carried as P^a - I, whose small
+    entries keep their relative precision where P^a itself would round them
+    against the identity (about 2^40 * eps after 2^40 steps)."""
+    eye = np.eye(len(q))
+    d, total = delta, q
+    for bit in bin(b)[3:]:
+        p = eye + d
+        total = total + p.conj().T @ total @ p
+        d = 2.0 * d + d @ d
+        if bit == "1":
+            p = eye + delta
+            total = q + p.conj().T @ total @ p
+            d = d + delta + d @ delta
+    return d, total

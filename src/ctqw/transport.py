@@ -12,7 +12,9 @@ it:
 * direct integration of the lossy dynamics (:func:`efficiency_dynamic`),
   reporting both the integrated trapping probability and the lost norm.
 
-All four must agree; the test suite holds them to tight tolerances.
+All four must agree: the ``efficiency`` command compares every route that
+ran with the subspace route, and the test suite holds them to tight
+tolerances.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ctqw.cli import main
+from ctqw.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,6 +257,45 @@ def test_unstable_rk4_step_names_dt(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--dt" in err and "stability" in err
+
+
+def test_step_count_cap_names_dt(capsys):
+    # about 4e16 steps to the horizon: rejected before any step runs
+    code, out, err = run_cli(
+        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--dt", "1e-15"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--dt" in err and "2^40" in err
+
+
+def test_closed_form_disagreement_exits_3(capsys, monkeypatch):
+    # a loose dependency tolerance truncates the Rook(4) basis to m=1, so the
+    # subspace route reads 0 against the closed form 1/9
+    monkeypatch.setenv("CTQW_TOL", "0.5")
+    code, out, err = run_cli(capsys, "efficiency", "rook", "--n", "4", "--state", "class:b")
+    assert code == 3
+    assert json.loads(out)["eta"]["closed_form"] == pytest.approx(1 / 9)
+    assert err.count("\n") == 1 and "closed_form" in err and "disagree" in err
+
+
+_INTERLEAVED = (
+    ("graph", "complete", "--n", "5"),
+    ("efficiency", "jcg", "--half", "4", "--state", "class:b1", "--kappa", "0.5", "--oracle"),
+    ("efficiency", "petersen", "--state", "vertex:a"),
+)
+
+
+def test_back_to_back_requests_match_fresh_parsers(capsys):
+    fresh = {}
+    for argv in _INTERLEAVED:
+        build_parser.cache_clear()
+        fresh[argv] = run_cli(capsys, *argv)
+    assert [code for code, _, _ in fresh.values()] == [0, 0, 2]
+    for order in (_INTERLEAVED, _INTERLEAVED[::-1]):
+        build_parser.cache_clear()
+        for argv in order:
+            assert run_cli(capsys, *argv) == fresh[argv]
 
 
 @pytest.mark.parametrize(
