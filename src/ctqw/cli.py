@@ -36,6 +36,7 @@ from .graphs import (
     graph_to_json,
 )
 from .numerics import UnstableStepError
+from .reduction import UnsupportedFamilyError, _closed_form_tridiagonal
 from .transport import (
     Explicit,
     Localized,
@@ -229,6 +230,14 @@ def _cmd_efficiency(args) -> int:
         for name, eta, tol in routes
         if eta is not None and not abs(eta - report.eta_subspace) <= tol
     ]
+    try:
+        m_closed = len(_closed_form_tridiagonal(spec)[0])
+    except UnsupportedFamilyError:
+        m_closed = None
+    if m_closed is not None and m_closed != report.m:
+        disagree.append(
+            f"Krylov dimension m={report.m} and closed-form dimension {m_closed} disagree"
+        )
     if disagree:
         print(f"error: {'; '.join(disagree)}", file=sys.stderr)
         return 3

@@ -2,6 +2,21 @@
 
 Vertex and edge connectivity come from unit-capacity max-flow (BFS
 augmenting paths; vertex version on the standard vertex-split digraph).
+Two classic bounds keep the number of flows small, and every flow stops
+augmenting once it reaches the best cut found so far, since only a
+smaller value can change the answer:
+
+- kappa (Even, SIAM J. Comput. 4, 1975): only sources v_0 ... v_kappa are
+  needed, each against the non-adjacent vertices of larger index. The
+  smallest index i outside a minimum separator S has i <= kappa, and
+  every vertex that S cuts off from v_i has a larger index. Starting from
+  best = delta, sources s < best suffice: while best > kappa, i < best.
+- lambda (Esfahanian and Hakimi, Networks 14, 1984, after Matula): when
+  lambda < delta, each side of a minimum edge cut holds a vertex with no
+  neighbor across it, so every dominating set D meets both sides. Then
+  lambda = min(delta, maxflow(v, w) over w in D - {v}) for any v in D,
+  and lambda = delta when |D| = 1.
+
 Algebraic connectivity is the second-smallest Laplacian eigenvalue; the
 normalized variant divides entries by sqrt(deg_i * deg_j).
 """
@@ -19,12 +34,14 @@ from .numerics import sym_eig
 from .transport import Localized, class_representative, efficiency_subspace
 
 
-def _max_flow(capacity: np.ndarray, s: int, t: int) -> int:
-    """Edmonds-Karp max flow on an integer capacity matrix."""
+def _max_flow(capacity: np.ndarray, s: int, t: int, cutoff: int) -> int:
+    """Edmonds-Karp max flow on an integer capacity matrix. Augmenting stops
+    once the flow reaches `cutoff`, so any value >= cutoff means "at least
+    cutoff"."""
     residual = capacity.astype(np.int64).copy()
     n = residual.shape[0]
     flow = 0
-    while True:
+    while flow < cutoff:
         parent = np.full(n, -1, dtype=np.int64)
         parent[s] = s
         queue = deque([s])
@@ -50,26 +67,48 @@ def _max_flow(capacity: np.ndarray, s: int, t: int) -> int:
             residual[v, u] += bottleneck
             v = u
         flow += bottleneck
+    return flow
+
+
+def _dominating_set(adj: np.ndarray) -> list[int]:
+    """Greedy dominating set: repeatedly take the vertex whose closed
+    neighborhood covers the most uncovered vertices (lowest index on ties)."""
+    closed = adj.astype(bool) | np.eye(adj.shape[0], dtype=bool)
+    uncovered = np.ones(adj.shape[0], dtype=bool)
+    chosen = []
+    while uncovered.any():
+        v = int(np.argmax(closed[:, uncovered].sum(axis=1)))
+        chosen.append(v)
+        uncovered &= ~closed[v]
+    return chosen
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Minimum number of edges whose removal disconnects the graph.
+    """Minimum number of edges whose removal disconnects the graph; 0 for a
+    disconnected graph.
 
-    Equals the minimum over targets t of the unit-capacity max flow from a
-    fixed source; 0 for a disconnected graph.
+    The minimum degree, lowered by the unit-capacity max flows from one
+    vertex of a greedy dominating set to each of the others (see the
+    module docstring); no flow runs when one vertex dominates.
     """
-    if g.n < 2:
+    if g.n < 2 or not g.is_connected():
         return 0
     capacity = g.adjacency.astype(np.int64)
-    return min(_max_flow(capacity, 0, t) for t in range(1, g.n))
+    best = int(g.degrees.min())
+    v, *others = _dominating_set(g.adjacency)
+    for w in others:
+        best = min(best, _max_flow(capacity, v, w, best))
+    return best
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
     Complete graphs have no separating set; by convention they score n - 1.
-    Otherwise this is the minimum over non-adjacent pairs of the max flow
-    through the vertex-split digraph with unit vertex capacities.
+    Otherwise this is the minimum degree, lowered by the max flows through
+    the vertex-split digraph with unit vertex capacities from each source
+    s below the best cut so far to the non-adjacent vertices t > s (see
+    the module docstring).
     """
     if not g.is_connected():
         return 0
@@ -85,15 +124,13 @@ def vertex_connectivity(g: Graph) -> int:
     for i, j in g.edges:
         capacity[i + n, j] = big
         capacity[j + n, i] = big
-    best = None
-    for s in range(n):
+    best = int(g.degrees.min())
+    s = 0
+    while s < best:
         for t in range(s + 1, n):
-            if adj[s, t]:
-                continue
-            cut = _max_flow(capacity, s + n, t)
-            if best is None or cut < best:
-                best = cut
-    assert best is not None  # non-complete graph has a non-adjacent pair
+            if not adj[s, t]:
+                best = min(best, _max_flow(capacity, s + n, t, best))
+        s += 1
     return best
 
 

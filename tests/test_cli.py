@@ -20,13 +20,22 @@ _GOLDEN_INSTANCES = {
     "simplex": ["--m", "4"],
 }
 
+# Larger instances whose connectivities take many max flows.
+_GOLDEN_GRAPHS = {
+    "graph-rook-6.json": ["rook", "--n", "6"],
+    "graph-simplex-6.json": ["simplex", "--m", "6"],
+    "graph-paley-29.json": ["paley", "--p", "29"],
+    "graph-cbg-22-12.json": ["cbg", "--n1", "22", "--n2", "12"],
+}
+
 GOLDEN_CASES = (
     [
         (f"sweep-{dataset}.{fmt}", ["sweep", dataset, "--format", fmt])
-        for dataset in ("fig3", "fig7", "table1")
+        for dataset in ("fig3", "fig7", "fig8", "table1")
         for fmt in ("csv", "json")
     ]
     + [(f"graph-{fam}.json", ["graph", fam, *size]) for fam, size in _GOLDEN_INSTANCES.items()]
+    + [(name, ["graph", *argv]) for name, argv in _GOLDEN_GRAPHS.items()]
     + [
         (
             f"efficiency-{fam}-{state.replace(':', '-')}.json",
@@ -277,6 +286,20 @@ def test_closed_form_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["eta"]["closed_form"] == pytest.approx(1 / 9)
     assert err.count("\n") == 1 and "closed_form" in err and "disagree" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["subspace", "oracle"])
+def test_krylov_dimension_disagreement_exits_3(capsys, monkeypatch, extra):
+    # the trap's own state has no closed-form route to compare against, so
+    # only the dimension check can see the truncated basis (m=1, not 3)
+    monkeypatch.setenv("CTQW_TOL", "0.5")
+    code, out, err = run_cli(
+        capsys, "efficiency", "rook", "--n", "4", "--state", "vertex:0", *extra
+    )
+    assert code == 3
+    assert json.loads(out)["m"] == 1
+    assert err.count("\n") == 1 and "disagree" in err
+    assert "m=1" in err and "dimension 3" in err
 
 
 _INTERLEAVED = (

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ctqw import (
     vertex_connectivity,
 )
 
+from ctqw import connectivity
 from _oracles import brute_edge_connectivity, brute_vertex_connectivity
 
 SMALL_INSTANCES = [
@@ -115,6 +117,90 @@ def test_connectivity_matches_brute_force_cuts(g):
     edges = set(g.edges)
     assert vertex_connectivity(g) == brute_vertex_connectivity(g.n, edges)
     assert edge_connectivity(g) == brute_edge_connectivity(g.n, edges)
+
+
+# (edge density, largest order): brute-force edge cuts cost C(|E|, lambda)
+# enumerations, so the densest graphs stay at n <= 7.
+_RANDOM_GRID = [(0.1, 9), (0.25, 9), (0.4, 9), (0.55, 9), (0.7, 7), (0.85, 7)]
+
+
+@pytest.mark.parametrize("density, max_n", _RANDOM_GRID, ids=[f"p{p}" for p, _ in _RANDOM_GRID])
+def test_random_graphs_match_brute_force_cuts(density, max_n):
+    rng = random.Random(f"connectivity:{density}")
+    disconnected = 0
+    for _ in range(30):
+        n = rng.randint(1, max_n)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+        g = Graph(n, tuple(edges))
+        disconnected += not g.is_connected()
+        assert vertex_connectivity(g) == brute_vertex_connectivity(n, edges), edges
+        assert edge_connectivity(g) == brute_edge_connectivity(n, edges), edges
+    if density <= 0.25:
+        assert disconnected > 0
+
+
+def _clique_blocks(
+    size: int, starts: tuple[int, ...], links: list[tuple[int, int]], shift: int
+) -> Graph:
+    """Cliques K_size on vertices start..start+size-1 (blocks may share a
+    vertex), plus `links` between them, relabeled v -> v + shift (mod n)."""
+    n = max(starts) + size
+    edges = [(i, j) for b in starts for i in range(b, b + size) for j in range(i + 1, b + size)]
+    return Graph(n, tuple(((i + shift) % n, (j + shift) % n) for i, j in edges + links))
+
+
+# name: (clique size, block starts, links, kappa, lambda, delta)
+_BLOCK_CASES = {
+    # two K5 sharing one vertex: kappa < lambda = delta
+    "shared": (5, (0, 4), [], 1, 4, 4),
+    # two triangles sharing one vertex: at shift 0 the shared v_0 is adjacent
+    # to all, so source v_1 = v_(delta-1) must run
+    "bowtie": (3, (0, 2), [], 1, 2, 2),
+    # two K5 joined by two disjoint edges: kappa = lambda < delta
+    "bridged": (5, (0, 5), [(0, 5), (1, 6)], 2, 2, 4),
+    # a chain of three K5 joined by three edges, then one: the minimum cut
+    # separates only one member of a three-vertex dominating set
+    "chain": (5, (0, 5, 10), [(0, 5), (1, 6), (2, 7), (8, 10)], 1, 1, 4),
+}
+
+
+@pytest.mark.parametrize("shift", range(15))
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_connectivity_below_min_degree(case, shift):
+    # family instances almost all have kappa = lambda = delta, so they
+    # cannot catch a wrong pair set
+    size, starts, links, kappa, lam, delta = _BLOCK_CASES[case]
+    g = _clique_blocks(size, starts, links, shift)
+    assert int(g.degrees.min()) == delta
+    assert vertex_connectivity(g) == kappa == brute_vertex_connectivity(g.n, set(g.edges))
+    assert edge_connectivity(g) == lam == brute_edge_connectivity(g.n, set(g.edges))
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    calls = []
+    kernel = connectivity._max_flow
+
+    def counted(capacity, s, t, cutoff):
+        calls.append((s, t))
+        return kernel(capacity, s, t, cutoff)
+
+    monkeypatch.setattr(connectivity, "_max_flow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_complete_graph_edge_connectivity_runs_no_flow(flow_calls, n):
+    assert edge_connectivity(build_complete(n)) == n - 1
+    assert flow_calls == []
+
+
+def test_simplex_vertex_connectivity_uses_few_sources(flow_calls):
+    g = build_simplex(6)
+    kappa = vertex_connectivity(g)
+    assert kappa == 6
+    assert 0 < len(flow_calls) <= (kappa + 1) * g.n
+    assert max(s - g.n for s, _ in flow_calls) <= kappa
 
 
 @pytest.mark.parametrize(
