@@ -70,9 +70,12 @@ def _jnum(x: float | None) -> float | None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out: cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _dep_tol() -> float:
@@ -87,7 +90,61 @@ def _dep_tol() -> float:
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for
+    byte, for an acyclic payload.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder. Here
+    the containers are joined directly and the leaves go to the same
+    functions the stdlib calls (its C string escaper, ``int.__repr__``,
+    ``float.__repr__``); a list of integer pairs, such as an edge list,
+    goes through one ``%`` template. Anything else (non-string keys,
+    subclasses, non-finite floats, unknown types) is handed to
+    ``json.dumps`` itself, which formats it or raises as usual.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _is_int_pair(row) -> bool:
+    return (
+        type(row) in (list, tuple)
+        and len(row) == 2
+        and type(row[0]) is int
+        and type(row[1]) is int
+    )
+
+
+def _encode(obj, newline: str) -> str:
+    """JSON text of `obj`, whose lines after the first start with
+    `newline` (a line break and the enclosing indentation)."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None or kind is bool:
+        return _LITERALS[obj]
+    inner = newline + "  "
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = [_escape(key) + ": " + _encode(value, inner) for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(map(_is_int_pair, obj)):
+            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            items = [row % (i, j) for i, j in obj]
+        else:
+            items = [_encode(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", newline)
 
 
 # --- family argument plumbing ---------------------------------------------------

@@ -1,10 +1,11 @@
 """Graph connectivity measures.
 
 Vertex and edge connectivity come from unit-capacity max-flow (BFS
-augmenting paths; vertex version on the standard vertex-split digraph).
-Two classic bounds keep the number of flows small, and every flow stops
-augmenting once it reaches the best cut found so far, since only a
-smaller value can change the answer:
+augmenting paths; vertex version on the standard vertex-split digraph,
+where vertex v is an arc v_in -> v_out of capacity 1). Two classic bounds
+keep the number of flows small, and every flow stops augmenting once it
+reaches the best cut found so far, since only a smaller value can change
+the answer:
 
 - kappa (Even, SIAM J. Comput. 4, 1975): only sources v_0 ... v_kappa are
   needed, each against the non-adjacent vertices of larger index. The
@@ -16,6 +17,21 @@ smaller value can change the answer:
   neighbor across it, so every dominating set D meets both sides. Then
   lambda = min(delta, maxflow(v, w) over w in D - {v}) for any v in D,
   and lambda = delta when |D| = 1.
+
+Two certificates skip or shorten the flows that remain:
+
+- Common neighbors. For non-adjacent s, t, each common neighbor c gives
+  the path s_out -> c_in -> c_out -> t_in, and distinct c give paths that
+  share no vertex; so maxflow(s, t) >= |N(s) & N(t)|. For any v, w, the
+  paths v - c - w and the edge v - w when present share no edge; so the
+  edge flow is >= |N(v) & N(w)| + [v ~ w]. A flow whose certificate
+  reaches the best cut cannot lower it and is skipped. Otherwise these
+  paths are a feasible flow, and Edmonds-Karp augments from it instead
+  of from zero: augmenting paths reach the maximum from any feasible
+  flow, and every bottleneck is one unit (each path crosses a unit arc),
+  so the result is the same min(maxflow, cutoff).
+- Floor. A connected graph with at least two vertices has kappa >= 1 and
+  lambda >= 1, so the search stops as soon as the best cut is 1.
 
 Algebraic connectivity is the second-smallest Laplacian eigenvalue; the
 normalized variant divides entries by sqrt(deg_i * deg_j).
@@ -34,13 +50,24 @@ from .numerics import sym_eig
 from .transport import Localized, class_representative, efficiency_subspace
 
 
-def _max_flow(capacity: np.ndarray, s: int, t: int, cutoff: int) -> int:
-    """Edmonds-Karp max flow on an integer capacity matrix. Augmenting stops
-    once the flow reaches `cutoff`, so any value >= cutoff means "at least
-    cutoff"."""
-    residual = capacity.astype(np.int64).copy()
+def _max_flow(
+    capacity: np.ndarray,
+    s: int,
+    t: int,
+    cutoff: int,
+    paths: Sequence[Sequence[int]],
+) -> int:
+    """Edmonds-Karp max flow on an integer capacity matrix, starting from one
+    unit along each of `paths` (s-t node sequences whose arcs are disjoint
+    and have capacity). Augmenting stops once the flow reaches `cutoff`, so
+    any value >= cutoff means "at least cutoff"."""
+    residual = capacity.astype(np.int64)
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            residual[u, v] -= 1
+            residual[v, u] += 1
     n = residual.shape[0]
-    flow = 0
+    flow = len(paths)
     while flow < cutoff:
         parent = np.full(n, -1, dtype=np.int64)
         parent[s] = s
@@ -88,16 +115,26 @@ def edge_connectivity(g: Graph) -> int:
     disconnected graph.
 
     The minimum degree, lowered by the unit-capacity max flows from one
-    vertex of a greedy dominating set to each of the others (see the
-    module docstring); no flow runs when one vertex dominates.
+    vertex of a greedy dominating set to each of the others, skipping
+    those whose common-neighbor certificate reaches the best cut so far
+    and stopping at 1 (see the module docstring); no flow runs when one
+    vertex dominates.
     """
     if g.n < 2 or not g.is_connected():
         return 0
     capacity = g.adjacency.astype(np.int64)
+    adj = g.adjacency.astype(bool)
     best = int(g.degrees.min())
     v, *others = _dominating_set(g.adjacency)
     for w in others:
-        best = min(best, _max_flow(capacity, v, w, best))
+        paths = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
+        if adj[v, w]:
+            paths.append((v, w))
+        if len(paths) >= best:
+            continue
+        best = min(best, _max_flow(capacity, v, w, best, paths))
+        if best == 1:
+            return 1
     return best
 
 
@@ -107,29 +144,31 @@ def vertex_connectivity(g: Graph) -> int:
     Complete graphs have no separating set; by convention they score n - 1.
     Otherwise this is the minimum degree, lowered by the max flows through
     the vertex-split digraph with unit vertex capacities from each source
-    s below the best cut so far to the non-adjacent vertices t > s (see
-    the module docstring).
+    s below the best cut so far to the non-adjacent vertices t > s,
+    skipping pairs whose common neighbors reach the best cut and stopping
+    at 1 (see the module docstring).
     """
     if not g.is_connected():
         return 0
-    adj = g.adjacency
+    adj = g.adjacency.astype(bool)
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         return n - 1
     # split: node v -> in-node v, out-node v + n, internal capacity 1
-    big = n
     capacity = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for v in range(n):
-        capacity[v, v + n] = 1
-    for i, j in g.edges:
-        capacity[i + n, j] = big
-        capacity[j + n, i] = big
+    capacity[np.arange(n), np.arange(n) + n] = 1
+    capacity[n:, :n] = n * adj
     best = int(g.degrees.min())
     s = 0
     while s < best:
-        for t in range(s + 1, n):
-            if not adj[s, t]:
-                best = min(best, _max_flow(capacity, s + n, t, best))
+        for t in np.flatnonzero(~adj[s, s + 1 :]) + s + 1:
+            common = np.flatnonzero(adj[s] & adj[t])
+            if len(common) >= best:
+                continue
+            paths = [(s + n, c, c + n, t) for c in common]
+            best = min(best, _max_flow(capacity, s + n, t, best, paths))
+            if best == 1:
+                return 1
         s += 1
     return best
 

@@ -72,16 +72,19 @@ class Graph:
         return tuple(v for v in range(self.n) if self.classes[v] == label)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        adj = self.adjacency
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if int(v) not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        return len(seen) == self.n
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        # breadth-first from vertex 0, one whole frontier per step
+        adj = self.adjacency.astype(bool)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -62,6 +62,22 @@ def brute_edge_connectivity(n: int, edges: set[tuple[int, int]]) -> int:
     return len(edges)
 
 
+def brute_cut_edge_connectivity(n: int, edges: set[tuple[int, int]]) -> int:
+    """Smallest number of edges leaving a nonempty proper vertex subset,
+    by enumerating the 2^(n-1) - 1 subsets that contain vertex n - 1;
+    0 when n < 2. Cheaper than `brute_edge_connectivity` on dense graphs."""
+    if n < 2:
+        return 0
+    best = len(edges)
+    for mask in range(1 << (n - 1)):
+        inside = mask | (1 << (n - 1))
+        if inside == (1 << n) - 1:
+            continue
+        crossing = sum(((inside >> i) & 1) != ((inside >> j) & 1) for i, j in edges)
+        best = min(best, crossing)
+    return best
+
+
 def pair_count_srg(adjacency: np.ndarray) -> tuple[int, int, int, int] | None:
     """(n, k, lam, mu) by direct common-neighbor counting, or None."""
     n = adjacency.shape[0]

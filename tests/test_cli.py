@@ -1,10 +1,11 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from ctqw.cli import build_parser, main
+from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -388,3 +389,86 @@ def test_invalid_dependency_tolerance_names_env(capsys, monkeypatch, tol):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "CTQW_TOL" in err
+
+
+_OUT_COMMANDS = {
+    "graph": ["graph", "petersen"],
+    "efficiency": ["efficiency", "petersen", "--state", "class:a"],
+    "sweep": ["sweep", "fig3"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code, stdout, err = run_cli(capsys, *_OUT_COMMANDS[command], "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and "--out" in err and str(out) in err
+
+
+# --- JSON writer -------------------------------------------------------------------
+
+_STRINGS = ["", "a", "key", "Ω-Ж", "naïve", "日本", "\u2028", "tab\there", 'quo"te', "back\\slash",
+            "new\nline", "\x00\x1f", "😀"]
+_LEAVES = [None, True, False, 0, 1, -7, 2**70, 0.0, -0.0, 1.5, 1e300, -1e-300, 5e-324,
+           0.1 + 0.2, *_STRINGS]
+
+
+def _random_payload(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_LEAVES)
+    kind = rng.randrange(5)
+    size = rng.choice([0, 1, 2, 3, 5])
+    if kind == 0:
+        return {rng.choice(_STRINGS) + str(k): _random_payload(rng, depth - 1) for k in range(size)}
+    if kind == 1:
+        return [_random_payload(rng, depth - 1) for _ in range(size)]
+    if kind == 2:
+        return tuple(_random_payload(rng, depth - 1) for _ in range(size))
+    # integer rows: pairs (edge lists), other lengths, and near-pairs
+    length = rng.choice([1, 2, 2, 3])
+    rows = [[rng.randrange(-3, 50) for _ in range(length)] for _ in range(size)]
+    if rows and rng.random() < 0.3:
+        rows[-1][0] = rng.choice([True, 1.0, "1", None])
+    return rows if rng.random() < 0.5 else [tuple(r) for r in rows]
+
+
+def _stdlib(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def test_writer_matches_stdlib_on_random_payloads():
+    rng = random.Random("json-writer")
+    for _ in range(3000):
+        payload = _random_payload(rng, rng.randint(0, 5))
+        assert _dumps(payload) == _stdlib(payload), payload
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"edges": [[0, 1], [0, 2], [1, 2]]},
+        {"edges": []},
+        [[True, False], [1, 0]],
+        [[1, 2], [3, 4, 5]],
+        {1: "int key", 2.5: [None], None: {}, False: ()},
+        {"nested": {"": [{}, [], [[]]]}},
+        [1, [2, [3, [4, {"five": (6,)}]]]],
+    ],
+)
+def test_writer_matches_stdlib_on_edge_cases(payload):
+    assert _dumps(payload) == _stdlib(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writer_rejects_non_finite_floats(bad):
+    for payload in (bad, [1, bad], {"x": {"y": bad}}, [[0, 1], [bad, 2]]):
+        with pytest.raises(ValueError):
+            _dumps(payload)
+
+
+def test_writer_rejects_unknown_types():
+    with pytest.raises(TypeError):
+        _dumps({"x": object()})

@@ -31,7 +31,11 @@ from ctqw import (
 )
 
 from ctqw import connectivity
-from _oracles import brute_edge_connectivity, brute_vertex_connectivity
+from _oracles import (
+    brute_cut_edge_connectivity,
+    brute_edge_connectivity,
+    brute_vertex_connectivity,
+)
 
 SMALL_INSTANCES = [
     build_complete(4),
@@ -181,9 +185,9 @@ def flow_calls(monkeypatch):
     calls = []
     kernel = connectivity._max_flow
 
-    def counted(capacity, s, t, cutoff):
-        calls.append((s, t))
-        return kernel(capacity, s, t, cutoff)
+    def counted(capacity, s, t, cutoff, paths):
+        calls.append((s, t, cutoff, len(paths)))
+        return kernel(capacity, s, t, cutoff, paths)
 
     monkeypatch.setattr(connectivity, "_max_flow", counted)
     return calls
@@ -200,7 +204,84 @@ def test_simplex_vertex_connectivity_uses_few_sources(flow_calls):
     kappa = vertex_connectivity(g)
     assert kappa == 6
     assert 0 < len(flow_calls) <= (kappa + 1) * g.n
-    assert max(s - g.n for s, _ in flow_calls) <= kappa
+    assert max(s - g.n for s, *_ in flow_calls) <= kappa
+
+
+def test_dense_bipartite_vertex_connectivity_runs_no_flow(flow_calls):
+    # every non-adjacent pair shares a whole side, at least delta = 12
+    assert vertex_connectivity(build_complete_bipartite(22, 12)) == 12
+    assert flow_calls == []
+
+
+def test_vertex_connectivity_stops_at_one(flow_calls):
+    # the first flow, trap to the far bridge end, finds the bridge
+    assert vertex_connectivity(build_joined_complete(17)) == 1
+    assert len(flow_calls) == 1
+
+
+def test_edge_connectivity_stops_at_one(flow_calls):
+    # chain of three K5: the dominating set has three members, and the
+    # first flow already crosses the single link
+    g = _clique_blocks(5, (0, 5, 10), [(0, 5), (1, 6), (2, 7), (8, 10)], 0)
+    assert edge_connectivity(g) == 1
+    assert len(flow_calls) == 1
+
+
+def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
+    side = [k for k, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j]))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(1, 1), (1, 3), (2, 2), (1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3), (1, 1, 5), (2, 3, 4),
+     (1, 1, 1, 4), (2, 2, 2, 2), (1, 2, 2, 5)],
+    ids=str,
+)
+def test_complete_multipartite_against_brute_force(parts):
+    # kappa = lambda = n - (largest part); every non-adjacent pair shares
+    # at least that many neighbors, so the certificates decide every pair
+    g = _complete_multipartite(parts)
+    edges = set(g.edges)
+    expected = g.n - max(parts)
+    assert vertex_connectivity(g) == brute_vertex_connectivity(g.n, edges) == expected
+    assert edge_connectivity(g) == brute_cut_edge_connectivity(g.n, edges) == expected
+
+
+def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
+    # K_{a,b} minus a few edges: common-neighbor counts fall to just below
+    # the best cut, so flows start from certificates one short of it
+    rng = random.Random("cbg-minus-edges")
+    for a in range(2, 6):
+        for b in range(a, 7):
+            full = [(i, j) for i in range(a) for j in range(a, a + b)]
+            for removed in (1, 2, 3, a):
+                edges = set(rng.sample(full, len(full) - removed))
+                g = Graph(a + b, tuple(edges))
+                assert vertex_connectivity(g) == brute_vertex_connectivity(g.n, edges), edges
+                assert edge_connectivity(g) == brute_cut_edge_connectivity(g.n, edges), edges
+    near_misses = [c for c in flow_calls if c[3] == c[2] - 1]
+    assert len(near_misses) > 20
+    assert any(paths > 0 for *_, paths in near_misses)
+
+
+def test_flow_from_certificate_paths_matches_flow_from_zero():
+    rng = random.Random("preflow")
+    for _ in range(40):
+        n = rng.randint(4, 10)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+        g = Graph(n, tuple(edges))
+        adj = g.adjacency.astype(bool)
+        capacity = g.adjacency.astype(np.int64)
+        for v in range(n):
+            for w in range(v + 1, n):
+                paths = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
+                if adj[v, w]:
+                    paths.append((v, w))
+                assert connectivity._max_flow(capacity, v, w, n, paths) == (
+                    connectivity._max_flow(capacity, v, w, n, [])
+                ), (edges, v, w)
 
 
 @pytest.mark.parametrize(
