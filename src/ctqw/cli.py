@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -36,7 +37,7 @@ from .graphs import (
     graph_to_json,
 )
 from .numerics import UnstableStepError
-from .reduction import UnsupportedFamilyError, _closed_form_tridiagonal
+from .reduction import closed_forms
 from .transport import (
     Explicit,
     Localized,
@@ -67,6 +68,23 @@ def _jnum(x: float | None) -> float | None:
     return None if x is None else float(format(x, ".12g"))
 
 
+def _unwritable(out: str, reason: str) -> ValueError:
+    return ValueError(f"--out: cannot write {out!r}: {reason}")
+
+
+def _check_out(out: str | None) -> None:
+    """Reject an --out target that is a directory, or whose directory is
+    missing, before any work is done; :func:`_emit` reports other failures."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise _unwritable(out, os.strerror(errno.EISDIR))
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        missing = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise _unwritable(out, os.strerror(missing))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -75,7 +93,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"--out: cannot write {out!r}: {exc.strerror or exc}") from exc
+        raise _unwritable(out, exc.strerror or str(exc)) from exc
 
 
 def _dep_tol() -> float:
@@ -287,13 +305,10 @@ def _cmd_efficiency(args) -> int:
         for name, eta, tol in routes
         if eta is not None and not abs(eta - report.eta_subspace) <= tol
     ]
-    try:
-        m_closed = len(_closed_form_tridiagonal(spec)[0])
-    except UnsupportedFamilyError:
-        m_closed = None
-    if m_closed is not None and m_closed != report.m:
+    diag = closed_forms(spec).diag
+    if diag is not None and len(diag) != report.m:
         disagree.append(
-            f"Krylov dimension m={report.m} and closed-form dimension {m_closed} disagree"
+            f"Krylov dimension m={report.m} and closed-form dimension {len(diag)} disagree"
         )
     if disagree:
         print(f"error: {'; '.join(disagree)}", file=sys.stderr)
@@ -390,19 +405,6 @@ _TABLE1_INSTANCES: tuple[tuple[FamilySpec, str, str, str], ...] = (
 )
 
 
-def _table1_formula_value(spec: FamilySpec) -> float:
-    if isinstance(spec, Complete):
-        return float(spec.n)
-    if isinstance(spec, CompleteBipartite):
-        return float(min(spec.n1, spec.n2))
-    if isinstance(spec, PaleyPrime):
-        return (spec.p - math.sqrt(spec.p)) / 2.0
-    if isinstance(spec, JoinedComplete):
-        n = 2 * spec.half
-        return (n + 4 - math.sqrt(n * (n + 8) - 16)) / 4.0
-    return 1.0
-
-
 def _dataset_table1() -> tuple[list[str], list[list]]:
     header = [
         "family",
@@ -431,7 +433,7 @@ def _dataset_table1() -> tuple[list[str], list[list]]:
                 f_delta,
                 f_conn,
                 f_alg,
-                _table1_formula_value(spec),
+                closed_forms(spec).algebraic_connectivity,
             ]
         )
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -541,6 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,10 +8,10 @@ subspaces identical and the construction can stay in real arithmetic.
 In this basis the Hamiltonian is tridiagonal, with -i*kappa added at the
 top-left entry only.
 
-Each family with a known analytic basis also gets a closed-form
-construction (:func:`closed_form_basis`,
-:func:`closed_form_reduced_hamiltonian`) that serves as an independent
-reference for the iterative one.
+Each family's closed forms sit in one :class:`ClosedForms` record from
+:data:`CLOSED_FORMS`: the analytic basis and reduced Hamiltonian (an
+independent reference for the iterative ones), the efficiencies and the
+Table-1 algebraic-connectivity formula.
 
 Sign convention: every basis vector is flipped, when needed, so that its
 first nonzero component (lowest vertex index) is positive. This makes
@@ -24,15 +24,20 @@ entry relative to the raw analytic form (it does, for the simplex entry
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .graphs import (
+    Complete,
     CompleteBipartite,
     FamilySpec,
     Graph,
     JoinedComplete,
+    PaleyPrime,
+    Petersen,
+    Rook,
     Simplex,
     build,
     laplacian,
@@ -130,161 +135,227 @@ def reduced_hamiltonian(
 # --- closed-form references ------------------------------------------------------
 
 
-def _srg_closed_form_vectors(g: Graph, n: int, k: int) -> list[np.ndarray]:
-    adj = g.adjacency
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    e2 = adj[0] / math.sqrt(k)
-    e3 = np.where(adj[0] > 0, 0.0, 1.0) / math.sqrt(n - k - 1)
-    e3[0] = 0.0
-    return [e1, e2, e3]
+@dataclass(frozen=True)
+class ClosedForms:
+    """The paper's closed forms for one family instance; ``None`` or a
+    missing key marks one the instance lacks. ``basis`` builds the raw
+    (un-gauged) analytic basis as rows, on demand, since some families need
+    the graph; ``diag`` and ``off`` give the raw reduced Hamiltonian. Pair
+    efficiencies are functions of cos(theta), filed under either order of
+    two distinct labels; ``aliases`` renames a label before any lookup."""
+
+    basis: Callable[[], np.ndarray] | None = None
+    diag: list[float] | None = None
+    off: list[float] | None = None
+    localized: dict[str, float] = field(default_factory=dict)
+    pairs: dict[tuple[str, str], Callable[[float], float]] = field(default_factory=dict)
+    aliases: dict[str, str] = field(default_factory=dict)
+    algebraic_connectivity: float | None = None  # the Table-1 formula
+
+    def label(self, label: str) -> str:
+        return self.aliases.get(label, label)
+
+    def efficiency(
+        self, class1: str, class2: str | None = None, theta: float = 0.0
+    ) -> float | None:
+        if class2 is None:
+            return self.localized.get(self.label(class1))
+        pair = (self.label(class1), self.label(class2))
+        formula = self.pairs.get(pair) or self.pairs.get(pair[::-1])
+        return None if formula is None else formula(math.cos(theta))
 
 
-def _closed_form_vectors(spec: FamilySpec) -> list[np.ndarray]:
-    """Analytic basis vectors in their raw (un-gauged) sign choice."""
-    if isinstance(spec, CompleteBipartite):
-        n1, n2 = spec.n1, spec.n2
-        if n1 < 2:
-            raise UnsupportedFamilyError(
-                "closed-form bipartite basis needs at least 2 trap-side vertices"
-            )
-        n = n1 + n2
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        e2 = np.zeros(n)
-        e2[n1:] = 1.0 / math.sqrt(n2)
-        e3 = np.zeros(n)
-        e3[1:n1] = 1.0 / math.sqrt(n1 - 1)
-        return [e1, e2, e3]
-
-    if (params := srg_parameters(spec)) is not None:
-        return _srg_closed_form_vectors(build(spec), params.n, params.k)
-
-    if isinstance(spec, JoinedComplete):
-        half = spec.half
-        n = 2 * half
-        a = slice(1, half - 1)
-        b1, b2 = half - 1, half
-        c = slice(half + 1, n)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        e2 = np.zeros(n)
-        e2[a] = 1.0
-        e2[b1] = 1.0
-        e2 /= math.sqrt(half - 1)
-        e3 = np.zeros(n)
-        e3[a] = 1.0
-        e3[b1] = -(half - 2)
-        e3[b2] = half - 1
-        e3 /= math.sqrt((n - 3) * (half - 1))
-        e4 = np.zeros(n)
-        e4[a] = 1.0
-        e4[b1] = e4[b2] = -(half - 2)
-        e4[c] = -(n - 3)
-        e4 /= math.sqrt((n - 3) * (n * (half - 2) + 1))
-        return [e1, e2, e3, e4]
-
-    if isinstance(spec, Simplex):
-        m = spec.m
-        if m < 3:
-            raise UnsupportedFamilyError(
-                "closed-form simplex basis needs m >= 3 (five distinct vertex roles)"
-            )
-        g = build(spec)
-        n = g.n
-        assert g.classes is not None
-        sel = {
-            label: np.array([1.0 if g.classes[v] == label else 0.0 for v in range(n)])
-            for label in ("a", "b", "c", "d", "e", "f")
-        }
-        a, b = sel["a"], sel["b"]
-        cd = sel["c"] + sel["d"]
-        ve, vf = sel["e"], sel["f"]
-        q = m * m - 2 * m + 4
-        r = m**3 + 2 * m * m - 8 * m + 16
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        e2 = (a + b) / math.sqrt(m)
-        e3 = ((m - 2) / m * (a - (m - 1) * b) + cd) * (
-            math.sqrt(m) / math.sqrt((m - 1) * q)
-        )
-        e4 = (
-            2 * (m - 2) / q * (a - (m - 1) * b) - (m - 2) ** 2 / q * cd - 2 * ve - vf
-        ) * (math.sqrt(q) / math.sqrt((m - 1) * r))
-        e5 = (
-            -4 * (m - 2) * (a - (m - 1) * b)
-            + 2 * (m - 2) ** 2 * cd
-            - m * m * (m - 2) * ve
-            + 2 * q * vf
-        ) / (m * math.sqrt((m - 1) * (m - 2) * r))
-        return [e1, e2, e3, e4, e5]
-
-    raise UnsupportedFamilyError(f"no closed-form basis for {spec!r}")
+def _complete(spec: Complete) -> ClosedForms:
+    return ClosedForms(
+        localized={"a": 1.0 / (spec.n - 1)}, algebraic_connectivity=float(spec.n)
+    )
 
 
-def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
-    """Analytic invariant-subspace basis, gauged by the sign convention."""
-    return SubspaceBasis(np.asarray([_sign(v) * v for v in _closed_form_vectors(spec)]))
+def _complete_bipartite(spec: CompleteBipartite) -> ClosedForms:
+    n1, n2 = spec.n1, spec.n2
+    n = n1 + n2
+    localized = {"a": 1.0 / n2}
+    table1 = float(min(n1, n2))
+    if n1 < 2:  # no class b, and no third basis vector
+        return ClosedForms(localized=localized, algebraic_connectivity=table1)
+
+    def basis() -> np.ndarray:
+        e = np.zeros((3, n))
+        e[0, 0] = 1.0
+        e[1, n1:] = 1.0 / math.sqrt(n2)
+        e[2, 1:n1] = 1.0 / math.sqrt(n1 - 1)
+        return e
+
+    return ClosedForms(
+        basis=basis,
+        diag=[float(n2), float(n1), float(n2)],
+        off=[-math.sqrt(n2), -math.sqrt(n2 * (n1 - 1))],
+        localized={**localized, "b": 1.0 / (n1 - 1)},
+        pairs={("a", "b"): lambda cos: (n - 1) / (2.0 * (n1 - 1) * n2)},
+        algebraic_connectivity=table1,
+    )
 
 
-def _closed_form_tridiagonal(spec: FamilySpec) -> tuple[list[float], list[float]]:
-    """Raw analytic diagonal and superdiagonal of the reduced Hamiltonian."""
-    if isinstance(spec, CompleteBipartite):
-        n1, n2 = spec.n1, spec.n2
-        if n1 < 2:
-            raise UnsupportedFamilyError(
-                "closed-form bipartite form needs at least 2 trap-side vertices"
-            )
-        diag = [float(n2), float(n1), float(n2)]
-        off = [-math.sqrt(n2), -math.sqrt(n2 * (n1 - 1))]
-        return diag, off
+def _strongly_regular(spec: FamilySpec, table1: float | None = None) -> ClosedForms:
+    params = srg_parameters(spec)
+    n, k, lam, mu = params.n, params.k, params.lam, params.mu
 
-    if (params := srg_parameters(spec)) is not None:
-        k, lam, mu = params.k, params.lam, params.mu
-        diag = [float(k), float(k - lam), float(mu)]
-        off = [-math.sqrt(k), -math.sqrt(mu * (k - lam - 1))]
-        return diag, off
+    def basis() -> np.ndarray:
+        near = build(spec).adjacency[0]
+        far = np.where(near > 0, 0.0, 1.0) / math.sqrt(n - k - 1)
+        far[0] = 0.0
+        return np.array([np.eye(1, n)[0], near / math.sqrt(k), far])
 
-    if isinstance(spec, JoinedComplete):
-        n = 2 * spec.half
-        h = spec.half
-        diag = [
+    return ClosedForms(
+        basis=basis,
+        diag=[float(k), float(k - lam), float(mu)],
+        off=[-math.sqrt(k), -math.sqrt(mu * (k - lam - 1))],
+        localized={"a": 1.0 / k, "b": 1.0 / (n - k - 1)},
+        pairs={("a", "b"): lambda cos: (n - 1) / (2.0 * k * (n - k - 1))},
+        algebraic_connectivity=table1,
+    )
+
+
+def _joined_complete(spec: JoinedComplete) -> ClosedForms:
+    h = spec.half
+    n = 2 * h
+    d = n * (n - 4) + 2
+
+    def basis() -> np.ndarray:
+        a, b1, b2, c = slice(1, h - 1), h - 1, h, slice(h + 1, n)
+        e = np.zeros((4, n))
+        e[0, 0] = 1.0
+        e[1, a] = e[1, b1] = 1.0
+        e[1] /= math.sqrt(h - 1)
+        e[2, a] = 1.0
+        e[2, b1] = -(h - 2)
+        e[2, b2] = h - 1
+        e[2] /= math.sqrt((n - 3) * (h - 1))
+        e[3, a] = 1.0
+        e[3, b1] = e[3, b2] = -(h - 2)
+        e[3, c] = -(n - 3)
+        e[3] /= math.sqrt((n - 3) * (n * (h - 2) + 1))
+        return e
+
+    localized = {"b1": 0.5 + (n - 3) / d, "b2": 0.5 + (n - 3) / d, "c": 2.0 * (n - 3) / d}
+    pairs = {("b1", "b2"): lambda cos: ((n - 2) * (n - (n - 4) * cos) - 4) / (2.0 * d)}
+    for b in ("b1", "b2"):  # the two bridge vertices pair alike with c, and with a
+        pairs[b, "c"] = lambda cos: (n * (n + 2) + 4 * (n - 4) * cos - 16) / (4.0 * d)
+    if h >= 3:  # class a is not empty
+        localized["a"] = 2.0 * (n - 1) / d
+        pairs["a", "c"] = lambda cos: 2.0 * (n - 2 - cos) / d
+        for b in ("b1", "b2"):
+            pairs["a", b] = lambda cos: (n - 2) * (n + 4 * (1 + cos)) / (4.0 * d)
+    return ClosedForms(
+        basis=basis,
+        diag=[
             float(h - 1),
             n / (n - 2),
             (n * n / 2 - 7 + 1 / (h - 1)) / (n - 3),
             (h - 1) / (n - 3),
-        ]
-        off = [
+        ],
+        off=[
             -math.sqrt(h - 1),
             -math.sqrt(n - 3) / (h - 1),
             math.sqrt((h - 1) * (n * (h - 2) + 1)) / (n - 3),
-        ]
-        return diag, off
+        ],
+        localized=localized,
+        pairs=pairs,
+        algebraic_connectivity=(n + 4 - math.sqrt(n * (n + 8) - 16)) / 4.0,
+    )
 
-    if isinstance(spec, Simplex):
-        m = spec.m
-        if m < 3:
-            raise UnsupportedFamilyError(
-                "closed-form simplex form needs m >= 3 (five distinct vertex roles)"
-            )
-        q = m * m - 2 * m + 4
-        r = m**3 + 2 * m * m - 8 * m + 16
-        diag = [
+
+def _simplex(spec: Simplex) -> ClosedForms:
+    m = spec.m
+    if m < 3:  # fewer than five distinct vertex roles
+        return ClosedForms(algebraic_connectivity=1.0)
+    q = m * m - 2 * m + 4
+    r = m**3 + 2 * m * m - 8 * m + 16
+    den = 2.0 * m * m * (m - 1)  # denominators shared by the pair formulas
+    den2 = den * (m - 2)
+
+    def basis() -> np.ndarray:
+        g = build(spec)
+        classes = np.array([g.classes[v] for v in range(g.n)])
+        sel = {c: (classes == c).astype(float) for c in "abcdef"}
+        ab = sel["a"] - (m - 1) * sel["b"]
+        cd = sel["c"] + sel["d"]
+        ve, vf = sel["e"], sel["f"]
+        e2 = (sel["a"] + sel["b"]) / math.sqrt(m)
+        e3 = ((m - 2) / m * ab + cd) * (math.sqrt(m) / math.sqrt((m - 1) * q))
+        e4 = (2 * (m - 2) / q * ab - (m - 2) ** 2 / q * cd - 2 * ve - vf) * (
+            math.sqrt(q) / math.sqrt((m - 1) * r)
+        )
+        e5 = (
+            -4 * (m - 2) * ab + 2 * (m - 2) ** 2 * cd - m * m * (m - 2) * ve + 2 * q * vf
+        ) / (m * math.sqrt((m - 1) * (m - 2) * r))
+        return np.array([np.eye(1, g.n)[0], e2, e3, e4, e5])
+
+    return ClosedForms(
+        basis=basis,
+        diag=[
             float(m),
             (3 * m - 2) / m,
             (m**4 - 2 * m**3 + 4 * m * m - 4 * m + 8) / (m * q),
             m * (m**4 - 2 * m**3 + 20 * m * m - 40 * m + 64) / (r * q),
             (m + 2) * (m**3 - 4 * m + 8) / r,
-        ]
-        off = [
+        ],
+        off=[
             -math.sqrt(m),
             -math.sqrt((m - 1) * q) / m,
             math.sqrt(m * r) / q,
             m * (m + 2) * math.sqrt((m - 2) * q) / r,
-        ]
-        return diag, off
+        ],
+        localized={
+            "a": (m * m - 2) / (m * m * (m - 1)),
+            "b": (m * m - 2 * m + 2) / (m * m),
+            "cd": 2.0 / (m * m),
+            "e": 1.0 / (m - 1),
+            "f": (m * m - 2 * m + 4) / (m * m * (m - 1) * (m - 2)),
+        },
+        pairs={
+            ("a", "b"): lambda cos: (m * (m * m - 2 * m + 4) - 4 + 4 * (m - 1) * cos) / den,
+            ("a", "cd"): lambda cos: (m * m + 2 * m - 4 + 2 * (m - 2) * cos) / den,
+            ("a", "e"): lambda cos: 1.0 / m + 1.0 / (m * m),
+            ("a", "f"): lambda cos: (m * (m * m - m - 4) + 8 - 4 * (m - 2) * cos) / den2,
+            ("b", "cd"): lambda cos: (m * m - 2 * m + 4 - 2 * (m - 2) * cos) / (2.0 * m * m),
+            ("b", "e"): lambda cos: 1.0 / (m * m) - 1.0 / m + m / (2.0 * (m - 1)),
+            ("b", "f"): lambda cos: (m * (m**3 - 5 * m * m + 11 * m - 12) + 8) / den2
+            + 2.0 * cos / (m * m),
+            ("cd", "e"): lambda cos: 1.0 / (m * m) + 1.0 / (2.0 * (m - 1)),
+            ("cd", "f"): lambda cos: (3 * m * m - 8 * m + 8 + 2 * (m - 2) ** 2 * cos) / den2,
+            ("e", "f"): lambda cos: 1.0 / (m * m) + 1.0 / m - 1.0 / (m - 1)
+            + 1.0 / (2.0 * (m - 2)),
+        },
+        aliases={"c": "cd", "d": "cd"},  # c and d share every transport property
+        algebraic_connectivity=1.0,
+    )
 
-    raise UnsupportedFamilyError(f"no closed-form reduced Hamiltonian for {spec!r}")
+
+# Spec class -> its closed forms: the one place each family's formulas live.
+CLOSED_FORMS: dict[type, Callable[..., ClosedForms]] = {
+    Complete: _complete,
+    CompleteBipartite: _complete_bipartite,
+    PaleyPrime: lambda spec: _strongly_regular(spec, (spec.p - math.sqrt(spec.p)) / 2.0),
+    Petersen: _strongly_regular,
+    Rook: _strongly_regular,
+    JoinedComplete: _joined_complete,
+    Simplex: _simplex,
+}
+
+
+def closed_forms(spec: FamilySpec) -> ClosedForms:
+    """Every closed form the paper gives for this family instance."""
+    entry = CLOSED_FORMS.get(type(spec))
+    return ClosedForms() if entry is None else entry(spec)
+
+
+def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
+    """Analytic invariant-subspace basis, gauged by the sign convention."""
+    forms = closed_forms(spec)
+    if forms.basis is None:
+        raise UnsupportedFamilyError(f"no closed-form basis for {spec!r}")
+    return SubspaceBasis(np.asarray([_sign(v) * v for v in forms.basis()]))
 
 
 def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarray:
@@ -295,14 +366,13 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    diag, off = _closed_form_tridiagonal(spec)
-    signs = [_sign(v) for v in _closed_form_vectors(spec)]
-    m = len(diag)
-    h = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        h[i, i] = diag[i]
-    for i in range(m - 1):
-        h[i, i + 1] = h[i + 1, i] = off[i] * signs[i] * signs[i + 1]
+    forms = closed_forms(spec)
+    if forms.basis is None:
+        raise UnsupportedFamilyError(f"no closed-form reduced Hamiltonian for {spec!r}")
+    signs = [_sign(v) for v in forms.basis()]
+    h = np.diag(np.asarray(forms.diag, dtype=complex))
+    for i, x in enumerate(forms.off):
+        h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]
     h[0, 0] += -1j * kappa
     return h
 

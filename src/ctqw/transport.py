@@ -19,24 +19,16 @@ tolerances.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
 
-from .graphs import (
-    Complete,
-    CompleteBipartite,
-    FamilySpec,
-    Graph,
-    JoinedComplete,
-    Simplex,
-    laplacian,
-    srg_parameters,
-)
+from .graphs import FamilySpec, Graph, laplacian
 from .numerics import decay_horizon, evolve_trapped, sym_eig
-from .reduction import SubspaceBasis, _sign, krylov_basis
+from .reduction import SubspaceBasis, _sign, closed_forms, krylov_basis
 
 
 class UnsupportedCaseError(ValueError):
@@ -110,10 +102,9 @@ def initial_state_vector(state: InitialState, n: int) -> np.ndarray:
 
 def class_vertices(g: Graph, label: str) -> tuple[int, ...]:
     """Vertices carrying a class label; ``"cd"`` merges the two simplex
-    classes that share all transport properties."""
-    if label == "cd":
-        merged = g.class_vertices("c") + g.class_vertices("d")
-        vs = tuple(sorted(merged))
+    classes that share all transport properties, on a graph that has both."""
+    if label == "cd" and (c := g.class_vertices("c")) and (d := g.class_vertices("d")):
+        vs = tuple(sorted(c + d))
     else:
         vs = g.class_vertices(label)
     if not vs:
@@ -233,119 +224,6 @@ def superposition_rule(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# --- analytic formulas ---------------------------------------------------------------
-
-
-def _simplex_label(label: str) -> str:
-    return "cd" if label in ("c", "d") else label
-
-
-def _closed_form_localized(spec: FamilySpec, label: str) -> float:
-    if isinstance(spec, Complete):
-        if label == "a":
-            return 1.0 / (spec.n - 1)
-    elif isinstance(spec, CompleteBipartite):
-        if label == "b" and spec.n1 >= 2:
-            return 1.0 / (spec.n1 - 1)
-        if label == "a":
-            return 1.0 / spec.n2
-    elif (params := srg_parameters(spec)) is not None:
-        if label == "a":
-            return 1.0 / params.k
-        if label == "b":
-            return 1.0 / (params.n - params.k - 1)
-    elif isinstance(spec, JoinedComplete):
-        n = 2 * spec.half
-        d = n * (n - 4) + 2
-        if label == "a" and spec.half >= 3:
-            return 2.0 * (n - 1) / d
-        if label in ("b1", "b2"):
-            return 0.5 + (n - 3) / d
-        if label == "c":
-            return 2.0 * (n - 3) / d
-    elif isinstance(spec, Simplex):
-        m = spec.m
-        if m >= 3:
-            label = _simplex_label(label)
-            if label == "a":
-                return (m * m - 2) / (m * m * (m - 1))
-            if label == "b":
-                return (m * m - 2 * m + 2) / (m * m)
-            if label == "cd":
-                return 2.0 / (m * m)
-            if label == "e":
-                return 1.0 / (m - 1)
-            if label == "f":
-                return (m * m - 2 * m + 4) / (m * m * (m - 1) * (m - 2))
-    raise UnsupportedCaseError(
-        f"no analytic efficiency for {spec!r} localized at class {label!r}"
-    )
-
-
-def _closed_form_pair(
-    spec: FamilySpec, label1: str, label2: str, theta: float
-) -> float:
-    cos = math.cos(theta)
-    pair = frozenset((label1, label2))
-    if isinstance(spec, CompleteBipartite):
-        n1, n2 = spec.n1, spec.n2
-        n = n1 + n2
-        if pair == frozenset(("a", "b")) and n1 >= 2:
-            return (n - 1) / (2.0 * (n1 - 1) * n2)
-    elif (params := srg_parameters(spec)) is not None:
-        if pair == frozenset(("a", "b")):
-            return (params.n - 1) / (2.0 * params.k * (params.n - params.k - 1))
-    elif isinstance(spec, JoinedComplete):
-        n = 2 * spec.half
-        d = n * (n - 4) + 2
-        if pair in (frozenset(("a", "b1")), frozenset(("a", "b2"))) and spec.half >= 3:
-            return (n - 2) * (n + 4 * (1 + cos)) / (4.0 * d)
-        if pair == frozenset(("a", "c")) and spec.half >= 3:
-            return 2.0 * (n - 2 - cos) / d
-        if pair == frozenset(("b1", "b2")):
-            return ((n - 2) * (n - (n - 4) * cos) - 4) / (2.0 * d)
-        if pair in (frozenset(("b1", "c")), frozenset(("b2", "c"))):
-            return (n * (n + 2) + 4 * (n - 4) * cos - 16) / (4.0 * d)
-    elif isinstance(spec, Simplex):
-        m = spec.m
-        if m >= 3:
-            pair = frozenset((_simplex_label(label1), _simplex_label(label2)))
-            if pair == frozenset(("a", "b")):
-                return (m * (m * m - 2 * m + 4) - 4 + 4 * (m - 1) * cos) / (
-                    2.0 * m * m * (m - 1)
-                )
-            if pair == frozenset(("a", "cd")):
-                return (m * m + 2 * m - 4 + 2 * (m - 2) * cos) / (2.0 * m * m * (m - 1))
-            if pair == frozenset(("a", "e")):
-                return 1.0 / m + 1.0 / (m * m)
-            if pair == frozenset(("a", "f")):
-                return (m * (m * m - m - 4) + 8 - 4 * (m - 2) * cos) / (
-                    2.0 * m * m * (m - 1) * (m - 2)
-                )
-            if pair == frozenset(("b", "cd")):
-                return (m * m - 2 * m + 4 - 2 * (m - 2) * cos) / (2.0 * m * m)
-            if pair == frozenset(("b", "e")):
-                return 1.0 / (m * m) - 1.0 / m + m / (2.0 * (m - 1))
-            if pair == frozenset(("b", "f")):
-                return (
-                    m * (m**3 - 5 * m * m + 11 * m - 12) + 8
-                ) / (2.0 * m * m * (m - 1) * (m - 2)) + 2.0 * cos / (m * m)
-            if pair == frozenset(("cd", "e")):
-                return 1.0 / (m * m) + 1.0 / (2.0 * (m - 1))
-            if pair == frozenset(("cd", "f")):
-                return (3 * m * m - 8 * m + 8 + 2 * (m - 2) ** 2 * cos) / (
-                    2.0 * m * m * (m - 1) * (m - 2)
-                )
-            if pair == frozenset(("e", "f")):
-                return (
-                    1.0 / (m * m) + 1.0 / m - 1.0 / (m - 1) + 1.0 / (2.0 * (m - 2))
-                )
-    raise UnsupportedCaseError(
-        f"no analytic efficiency for {spec!r} with superposed classes "
-        f"{label1!r}, {label2!r}"
-    )
-
-
 def efficiency_closed_form(
     spec: FamilySpec,
     class1: str,
@@ -354,10 +232,14 @@ def efficiency_closed_form(
 ) -> float:
     """Analytic transport efficiency for a localized class vertex, or for the
     superposition (|v1> + e^{i theta} |v2>) / sqrt(2) of representatives of
-    two classes. Raises UnsupportedCaseError for uncovered combinations."""
-    if class2 is None:
-        return _closed_form_localized(spec, class1)
-    return _closed_form_pair(spec, class1, class2, theta)
+    two distinct classes. Raises UnsupportedCaseError for uncovered
+    combinations, among them two labels of one class, which
+    :func:`efficiency_report` covers by the same-overlap rule."""
+    eta = closed_forms(spec).efficiency(class1, class2, theta)
+    if eta is None:
+        classes = ", ".join(repr(c) for c in (class1, class2) if c is not None)
+        raise UnsupportedCaseError(f"no analytic efficiency for {spec!r} at {classes}")
+    return eta
 
 
 # --- combined report ---------------------------------------------------------------
@@ -394,9 +276,11 @@ def efficiency_report(
     `g` is ``build(spec)``.
 
     The subspace route always runs. The analytic route runs when class
-    labels are supplied and covered. With ``oracle=True`` the eigenvector
-    route and the dynamical integration run as well; ``t_max=None`` sends
-    the latter to its spectral horizon (see :func:`efficiency_dynamic`).
+    labels are supplied and covered; two labels of one class (simplex ``c``
+    and ``d`` count as one) take :func:`superposition_rule`'s same-overlap
+    rule. With ``oracle=True`` the eigenvector route and the dynamical
+    integration run as well; ``t_max=None`` sends the latter to its
+    spectral horizon (see :func:`efficiency_dynamic`).
     """
     basis = krylov_basis(g, 0, tol)
     psi = initial_state_vector(psi0, g.n)
@@ -404,10 +288,12 @@ def efficiency_report(
 
     eta_cf = None
     if class1 is not None:
-        try:
-            eta_cf = efficiency_closed_form(spec, class1, class2, theta)
-        except UnsupportedCaseError:
-            eta_cf = None
+        label = closed_forms(spec).label
+        same = class2 is not None and label(class1) == label(class2)
+        with contextlib.suppress(UnsupportedCaseError):
+            eta_cf = efficiency_closed_form(spec, class1, None if same else class2, theta)
+            if same:  # vertices of one class overlap every basis vector alike
+                eta_cf = superposition_rule(eta_cf, eta_cf, "same-overlap", theta)
 
     eta_lam = eta_dyn = eta_sur = None
     if oracle:

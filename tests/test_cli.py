@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ctqw import cli
 from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,6 +153,32 @@ def test_efficiency_vertex_state_gets_class_formula(capsys):
     assert code == 0
     eta = json.loads(out)["eta"]
     assert eta["closed_form"] == pytest.approx(1 / 7, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, eta_class",
+    [
+        (["simplex", "--m", "4", "--state", "super:c,c", "--theta", "0.4"], 2 / 16),
+        (["simplex", "--m", "3", "--state", "super:c,d", "--theta", "1"], 2 / 9),
+        (["complete", "--n", "6", "--state", "super:1,2", "--theta", "0.5"], 1 / 5),
+    ],
+    ids=["simplex-c-c", "simplex-c-d", "complete-1-2"],
+)
+def test_same_class_superposition_gets_closed_form(capsys, argv, eta_class):
+    code, out, err = run_cli(capsys, "efficiency", *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    want = (1 + math.cos(payload["theta"])) * eta_class
+    assert payload["eta"]["closed_form"] == pytest.approx(want, abs=1e-12)
+    assert payload["eta"]["subspace"] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("state", ["class:cd", "uniform:cd", "super:cd,a", "super:b1,cd"])
+def test_cd_outside_the_simplex_exits_2(capsys, state):
+    code, out, err = run_cli(capsys, "efficiency", "jcg", "--half", "4", "--state", state)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "'cd'" in err
 
 
 def test_sweep_fig3_row(capsys):
@@ -392,15 +419,21 @@ def test_invalid_dependency_tolerance_names_env(capsys, monkeypatch, tol):
 
 
 _OUT_COMMANDS = {
-    "graph": ["graph", "petersen"],
-    "efficiency": ["efficiency", "petersen", "--state", "class:a"],
-    "sweep": ["sweep", "fig3"],
+    "graph": ["graph", "paley", "--p", "53"],
+    "efficiency": ["efficiency", "paley", "--p", "53", "--state", "class:a"],
+    "sweep": ["sweep", "table1"],
 }
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 @pytest.mark.parametrize("command", list(_OUT_COMMANDS))
-def test_unwritable_out_exits_2(capsys, tmp_path, command, target):
+def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, command, target):
+    # the target is checked before any work: these commands never compute
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "connectivity_report", unreachable)
+    monkeypatch.setattr(cli, "efficiency_report", unreachable)
     out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
     code, stdout, err = run_cli(capsys, *_OUT_COMMANDS[command], "--out", str(out))
     assert code == 2
