@@ -189,18 +189,17 @@ def _is_index(token: str) -> bool:
     return token.lstrip("-").isdigit()
 
 
-def _vertex_or_class(g, token: str) -> tuple[int, str | None]:
+def _vertex_or_class(g, token: str) -> int:
     if _is_index(token):
         v = int(token)
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-        label = g.classes[v] if g.classes else None
-        return v, label
-    return class_representative(g, token), token
+        return v
+    return class_representative(g, token)
 
 
 def _parse_state(g, state_str: str, theta: float):
-    """Resolve a --state expression to (initial state, class1, class2)."""
+    """Resolve a --state expression to an initial state."""
     kind, sep, rest = state_str.partition(":")
     if not sep:
         raise ValueError(f"malformed state {state_str!r}, expected kind:value")
@@ -208,22 +207,20 @@ def _parse_state(g, state_str: str, theta: float):
         if _is_index(rest) != (kind == "vertex"):
             expected = "an integer vertex index" if kind == "vertex" else "a class label"
             raise ValueError(f"{kind}: state takes {expected}, got {rest!r}")
-        v, label = _vertex_or_class(g, rest)
-        return Localized(v), label, None
+        return Localized(_vertex_or_class(g, rest))
     if kind == "super":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError("super state needs exactly two vertices or classes")
-        v1, label1 = _vertex_or_class(g, parts[0])
-        v2, label2 = _vertex_or_class(g, parts[1])
-        if v1 == v2:
-            if label1 is not None and len(class_vertices(g, label1)) > 1:
-                v2 = class_vertices(g, label1)[1]
-            else:
+        v1, v2 = (_vertex_or_class(g, token) for token in parts)
+        if v1 == v2:  # take the second vertex from the class the first token names
+            peers = class_vertices(g, g.classes[v1] if _is_index(parts[0]) else parts[0])
+            if len(peers) < 2:
                 raise ValueError("super state needs two distinct vertices")
-        return Superposition(v1, v2, theta), label1, label2
+            v2 = peers[1]
+        return Superposition(v1, v2, theta)
     if kind == "uniform":
-        return Explicit(class_uniform_state(g, rest)), None, None
+        return Explicit(class_uniform_state(g, rest))
     raise ValueError(f"unknown state kind {kind!r}")
 
 
@@ -261,15 +258,12 @@ def _cmd_efficiency(args) -> int:
         raise ValueError("--t-max must be finite and > 0")
     spec = _spec_from_args(args)
     g = build(spec)
-    psi0, class1, class2 = _parse_state(g, args.state, args.theta)
+    psi0 = _parse_state(g, args.state, args.theta)
     try:
         report = efficiency_report(
             spec,
             g,
             psi0,
-            class1=class1,
-            class2=class2,
-            theta=args.theta,
             kappa=args.kappa,
             oracle=args.oracle,
             dt=args.dt,
@@ -305,10 +299,10 @@ def _cmd_efficiency(args) -> int:
         for name, eta, tol in routes
         if eta is not None and not abs(eta - report.eta_subspace) <= tol
     ]
-    diag = closed_forms(spec).diag
-    if diag is not None and len(diag) != report.m:
+    m_cf = report.m_closed_form
+    if m_cf is not None and m_cf != report.m:
         disagree.append(
-            f"Krylov dimension m={report.m} and closed-form dimension {len(diag)} disagree"
+            f"Krylov dimension m={report.m} and closed-form dimension {m_cf} disagree"
         )
     if disagree:
         print(f"error: {'; '.join(disagree)}", file=sys.stderr)

@@ -28,8 +28,7 @@ Two certificates skip or shorten the flows that remain:
   reaches the best cut cannot lower it and is skipped. Otherwise these
   paths are a feasible flow, and Edmonds-Karp augments from it instead
   of from zero: augmenting paths reach the maximum from any feasible
-  flow, and every bottleneck is one unit (each path crosses a unit arc),
-  so the result is the same min(maxflow, cutoff).
+  flow, one unit at a time, so the result is the same min(maxflow, cutoff).
 - Floor. A connected graph with at least two vertices has kappa >= 1 and
   lambda >= 1, so the search stops as soon as the best cut is 1.
 
@@ -59,8 +58,9 @@ def _max_flow(
 ) -> int:
     """Edmonds-Karp max flow on an integer capacity matrix, starting from one
     unit along each of `paths` (s-t node sequences whose arcs are disjoint
-    and have capacity). Augmenting stops once the flow reaches `cutoff`, so
-    any value >= cutoff means "at least cutoff"."""
+    and have capacity). Each augmenting path carries one unit, which any
+    path with integer residuals can, and augmenting stops once the flow
+    reaches `cutoff`: the result is min(maxflow, cutoff)."""
     residual = capacity.astype(np.int64)
     for path in paths:
         for u, v in zip(path, path[1:]):
@@ -80,20 +80,13 @@ def _max_flow(
                     queue.append(int(v))
         if parent[t] < 0:
             return flow
-        bottleneck = None
         v = t
         while v != s:
             u = int(parent[v])
-            c = int(residual[u, v])
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
+            residual[u, v] -= 1
+            residual[v, u] += 1
             v = u
-        v = t
-        while v != s:
-            u = int(parent[v])
-            residual[u, v] -= bottleneck
-            residual[v, u] += bottleneck
-            v = u
-        flow += bottleneck
+        flow += 1
     return flow
 
 

@@ -361,24 +361,12 @@ def validate_srg(g: Graph) -> SrgParams | None:
     if not np.all(degs == degs[0]):
         return None
     k = int(degs[0])
-    common = adj @ adj
-    lam: int | None = None
-    mu: int | None = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = int(common[i, j])
-            if adj[i, j]:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
-    if lam is None or mu is None:
+    pairs = np.triu_indices(n, 1)
+    common, edge = (adj @ adj)[pairs], adj[pairs] > 0
+    lams, mus = np.unique(common[edge]), np.unique(common[~edge])
+    if len(lams) != 1 or len(mus) != 1:
         return None
+    lam, mu = int(lams[0]), int(mus[0])
     if k * (k - lam - 1) != (n - k - 1) * mu:
         return None
     return SrgParams(n, k, lam, mu)

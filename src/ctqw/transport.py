@@ -6,7 +6,8 @@ it:
 
 * subspace overlap: eta = sum_k |<e_k|psi0>|^2 over the iterative basis of
   the trap-seeded invariant subspace (:func:`efficiency_subspace`);
-* per-family analytic formulas (:func:`efficiency_closed_form`);
+* per-family analytic formulas (:func:`efficiency_closed_form`), looked
+  up by the classes of the state's own vertices;
 * overlap with the span of Laplacian eigenvectors that see the trap
   (:func:`lambda_subspace` / :func:`efficiency_lambda`);
 * direct integration of the lossy dynamics (:func:`efficiency_dynamic`),
@@ -19,7 +20,6 @@ tolerances.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Literal, Union
@@ -248,7 +248,9 @@ def efficiency_closed_form(
 @dataclass(frozen=True)
 class EfficiencyReport:
     """Transport efficiency by route. ``None`` marks a route that was not
-    requested or has no analytic formula for the given combination."""
+    requested or has no analytic formula for the given state, and
+    ``m_closed_form`` is the dimension of the analytic reduced Hamiltonian,
+    when the family has one."""
 
     eta_subspace: float
     m: int
@@ -256,6 +258,7 @@ class EfficiencyReport:
     eta_lambda: float | None = None
     eta_dynamic: float | None = None
     eta_survival: float | None = None
+    m_closed_form: int | None = None
 
 
 def efficiency_report(
@@ -263,9 +266,6 @@ def efficiency_report(
     g: Graph,
     psi0: InitialState,
     *,
-    class1: str | None = None,
-    class2: str | None = None,
-    theta: float = 0.0,
     kappa: float = 1.0,
     oracle: bool = False,
     dt: float = 1e-3,
@@ -275,25 +275,33 @@ def efficiency_report(
     """Evaluate every applicable route for one (graph, initial state) point;
     `g` is ``build(spec)``.
 
-    The subspace route always runs. The analytic route runs when class
-    labels are supplied and covered; two labels of one class (simplex ``c``
-    and ``d`` count as one) take :func:`superposition_rule`'s same-overlap
-    rule. With ``oracle=True`` the eigenvector route and the dynamical
-    integration run as well; ``t_max=None`` sends the latter to its
-    spectral horizon (see :func:`efficiency_dynamic`).
+    The subspace route always runs. The analytic route reads the class of
+    each vertex of a :class:`Localized` or :class:`Superposition` state
+    from ``g`` and uses the state's own theta; an :class:`Explicit` state
+    has none. Two vertices of one class (simplex ``c`` and ``d`` count as
+    one) take :func:`superposition_rule`'s same-overlap rule. The rule
+    lives here, not in :class:`~ctqw.reduction.ClosedForms`: only here are
+    both vertices known to exist, and the record does not know class sizes,
+    so it would price a pair from a one-vertex class (2*29/49 > 1 for
+    JoinedComplete(6) ``b1``). With ``oracle=True`` the eigenvector route
+    and the dynamical integration run as well; ``t_max=None`` sends the
+    latter to its spectral horizon (see :func:`efficiency_dynamic`).
     """
     basis = krylov_basis(g, 0, tol)
     psi = initial_state_vector(psi0, g.n)
     eta_sub = basis.overlap(psi)
 
+    forms = closed_forms(spec)
     eta_cf = None
-    if class1 is not None:
-        label = closed_forms(spec).label
-        same = class2 is not None and label(class1) == label(class2)
-        with contextlib.suppress(UnsupportedCaseError):
-            eta_cf = efficiency_closed_form(spec, class1, None if same else class2, theta)
-            if same:  # vertices of one class overlap every basis vector alike
-                eta_cf = superposition_rule(eta_cf, eta_cf, "same-overlap", theta)
+    if isinstance(psi0, Localized):
+        eta_cf = forms.efficiency(g.classes[psi0.v])
+    elif isinstance(psi0, Superposition):
+        class1, class2 = (forms.label(g.classes[v]) for v in (psi0.v1, psi0.v2))
+        if class1 != class2:
+            eta_cf = forms.efficiency(class1, class2, psi0.theta)
+        elif (eta := forms.efficiency(class1)) is not None:
+            # vertices of one class overlap every basis vector alike
+            eta_cf = superposition_rule(eta, eta, "same-overlap", psi0.theta)
 
     eta_lam = eta_dyn = eta_sur = None
     if oracle:
@@ -309,6 +317,7 @@ def efficiency_report(
         eta_lambda=eta_lam,
         eta_dynamic=eta_dyn,
         eta_survival=eta_sur,
+        m_closed_form=None if forms.diag is None else len(forms.diag),
     )
 
 

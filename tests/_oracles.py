@@ -78,6 +78,37 @@ def brute_cut_edge_connectivity(n: int, edges: set[tuple[int, int]]) -> int:
     return best
 
 
+def brute_local_edge_cut(n: int, edges: set[tuple[int, int]], s: int, t: int) -> int:
+    """Fewest edges leaving a vertex subset that holds s but not t, over
+    every such subset: the s-t edge max flow, by Menger's theorem."""
+    if not edges:
+        return 0
+    subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    subsets = subsets[(subsets[:, s] == 1) & (subsets[:, t] == 0)]
+    i, j = np.array(sorted(edges)).T
+    return int((subsets[:, i] != subsets[:, j]).sum(axis=1).min())
+
+
+def brute_local_vertex_cut(n: int, edges: set[tuple[int, int]], s: int, t: int) -> int:
+    """Fewest vertices other than the non-adjacent s and t whose removal
+    leaves no s-t path, by enumerating vertex sets in order of size."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    others = [v for v in range(n) if v not in (s, t)]
+    for size in range(len(others) + 1):
+        for removed in itertools.combinations(others, size):
+            seen, queue = {s, *removed}, deque([s])
+            while queue:
+                fresh = nbrs[queue.popleft()] - seen
+                seen |= fresh
+                queue.extend(fresh)
+            if t not in seen:
+                return size
+    raise ValueError("s and t are adjacent")
+
+
 def pair_count_srg(adjacency: np.ndarray) -> tuple[int, int, int, int] | None:
     """(n, k, lam, mu) by direct common-neighbor counting, or None."""
     n = adjacency.shape[0]

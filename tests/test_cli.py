@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ctqw import cli
+from ctqw import cli, reduction, transport
 from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -328,6 +328,23 @@ def test_krylov_dimension_disagreement_exits_3(capsys, monkeypatch, extra):
     assert json.loads(out)["m"] == 1
     assert err.count("\n") == 1 and "disagree" in err
     assert "m=1" in err and "dimension 3" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["subspace", "oracle"])
+def test_efficiency_builds_one_closed_form_record(capsys, monkeypatch, extra):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return reduction.closed_forms(spec)
+
+    monkeypatch.setattr(cli, "closed_forms", counted)
+    monkeypatch.setattr(transport, "closed_forms", counted)
+    code, _, _ = run_cli(
+        capsys, "efficiency", "simplex", "--m", "5", "--state", "super:b,e", *extra
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 _INTERLEAVED = (

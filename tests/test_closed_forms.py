@@ -79,8 +79,10 @@ def test_closed_forms_inventory(spec):
         except UnsupportedCaseError:
             continue
         supported.append(label)
-        got = efficiency_subspace(g, 0, Localized(class_vertices(g, label)[0]))
+        state = Localized(class_vertices(g, label)[0])
+        got = efficiency_subspace(g, 0, state)
         assert abs(got - want) <= 1e-12, (label, got, want)
+        assert efficiency_report(spec, g, state).eta_closed_form == want, label
     for i, label1 in enumerate(labels):
         for label2 in labels[i:]:
             vertices = _pair_vertices(g, label1, label2)
@@ -93,8 +95,11 @@ def test_closed_forms_inventory(spec):
                 covered = True
                 assert efficiency_closed_form(spec, label2, label1, theta) == want
                 assert vertices is not None, (label1, label2)
-                got = efficiency_subspace(g, 0, Superposition(*vertices, theta))
+                state = Superposition(*vertices, theta)
+                got = efficiency_subspace(g, 0, state)
                 assert abs(got - want) <= 1e-12, (label1, label2, theta, got, want)
+                report = efficiency_report(spec, g, state)
+                assert report.eta_closed_form == want, (label1, label2, theta)
             if covered:
                 supported.append(f"{label1}+{label2}")
     assert " ".join(supported) == SUPPORTED[spec]
@@ -117,9 +122,7 @@ def test_same_class_superposition_takes_the_same_overlap_rule(spec):
         except UnsupportedCaseError:
             eta = None
         for theta in THETAS:
-            report = efficiency_report(
-                spec, g, Superposition(*vertices, theta), class1=label1, class2=label2, theta=theta
-            )
+            report = efficiency_report(spec, g, Superposition(*vertices, theta))
             if eta is None:
                 assert report.eta_closed_form is None
                 continue

@@ -34,6 +34,8 @@ from ctqw import connectivity
 from _oracles import (
     brute_cut_edge_connectivity,
     brute_edge_connectivity,
+    brute_local_edge_cut,
+    brute_local_vertex_cut,
     brute_vertex_connectivity,
 )
 
@@ -267,6 +269,7 @@ def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
 
 
 def test_flow_from_certificate_paths_matches_flow_from_zero():
+    # on both networks the kernel runs on, against brute-force local cuts
     rng = random.Random("preflow")
     for _ in range(40):
         n = rng.randint(4, 10)
@@ -274,14 +277,24 @@ def test_flow_from_certificate_paths_matches_flow_from_zero():
         g = Graph(n, tuple(edges))
         adj = g.adjacency.astype(bool)
         capacity = g.adjacency.astype(np.int64)
+        split = np.zeros((2 * n, 2 * n), dtype=np.int64)  # as in vertex_connectivity
+        split[np.arange(n), np.arange(n) + n] = 1
+        split[n:, :n] = n * adj
         for v in range(n):
             for w in range(v + 1, n):
-                paths = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
+                common = np.flatnonzero(adj[v] & adj[w])
+                paths = [(v, c, w) for c in common]
                 if adj[v, w]:
                     paths.append((v, w))
-                assert connectivity._max_flow(capacity, v, w, n, paths) == (
-                    connectivity._max_flow(capacity, v, w, n, [])
-                ), (edges, v, w)
+                flow = connectivity._max_flow(capacity, v, w, n, [])
+                assert flow == brute_local_edge_cut(n, edges, v, w), (edges, v, w)
+                assert connectivity._max_flow(capacity, v, w, n, paths) == flow, (edges, v, w)
+                if adj[v, w]:
+                    continue
+                paths = [(v + n, c, c + n, w) for c in common]
+                flow = connectivity._max_flow(split, v + n, w, n, [])
+                assert flow == brute_local_vertex_cut(n, edges, v, w), (edges, v, w)
+                assert connectivity._max_flow(split, v + n, w, n, paths) == flow, (edges, v, w)
 
 
 @pytest.mark.parametrize(

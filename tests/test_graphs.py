@@ -153,6 +153,10 @@ def test_validate_srg_failures():
     assert validate_srg(build_complete_bipartite(4, 3)) is None  # not regular
     assert validate_srg(build_complete(6)) is None  # complete excluded
     assert validate_srg(build_simplex(2)) is None  # hexagon: mu not constant
+    assert validate_srg(build_simplex(3)) is None  # cubic: lam, mu not constant
+    assert validate_srg(build_joined_complete(4)) is None  # not regular
+    triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    assert validate_srg(triangles) is None  # regular but disconnected
 
 
 def test_paley_type_one_parameters():

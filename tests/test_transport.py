@@ -263,7 +263,7 @@ def test_class_helpers():
 
 def test_efficiency_report_routes_agree():
     report = efficiency_report(
-        Complete(4), build(Complete(4)), Localized(1), class1="a", oracle=True, t_max=200.0
+        Complete(4), build(Complete(4)), Localized(1), oracle=True, t_max=200.0
     )
     assert report.m == 2
     assert report.eta_subspace == pytest.approx(1 / 3, abs=1e-12)
@@ -274,7 +274,7 @@ def test_efficiency_report_routes_agree():
 
 
 def test_efficiency_report_uncovered_closed_form_is_none():
-    report = efficiency_report(Complete(4), build(Complete(4)), Localized(0), class1="w")
+    report = efficiency_report(Complete(4), build(Complete(4)), Localized(0))  # the trap
     assert report.eta_closed_form is None
     assert report.eta_subspace == pytest.approx(1.0)
 
