@@ -36,7 +36,7 @@ from .graphs import (
     family_name,
     graph_to_json,
 )
-from .numerics import UnstableStepError
+from .numerics import DEFAULT_DT, UnstableStepError
 from .reduction import closed_forms
 from .transport import (
     Explicit,
@@ -51,7 +51,7 @@ from .transport import (
 
 _CLOSED_FORM_TOL = 1e-9
 _LAMBDA_TOL = 1e-9
-_DYNAMIC_TOL = 1e-2
+_DYNAMIC_TOL = 1e-6
 
 
 def _fmt(x) -> str:
@@ -213,8 +213,9 @@ def _parse_state(g, state_str: str, theta: float):
         if len(parts) != 2:
             raise ValueError("super state needs exactly two vertices or classes")
         v1, v2 = (_vertex_or_class(g, token) for token in parts)
-        if v1 == v2:  # take the second vertex from the class the first token names
-            peers = class_vertices(g, g.classes[v1] if _is_index(parts[0]) else parts[0])
+        if v1 == v2:  # an index names one vertex; a class token takes the next
+            labels = [token for token in parts if not _is_index(token)]
+            peers = class_vertices(g, labels[0]) if labels else ()
             if len(peers) < 2:
                 raise ValueError("super state needs two distinct vertices")
             v2 = peers[1]
@@ -510,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="also run the eigenvector and dynamical routes",
         )
-        sub.add_argument("--dt", type=float, default=1e-3, help="RK4 step of the oracle")
+        sub.add_argument(
+            "--dt", type=float, default=DEFAULT_DT, help="oracle RK4 step (default %(default)g)"
+        )
         sub.add_argument(
             "--t-max",
             type=float,

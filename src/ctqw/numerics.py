@@ -9,10 +9,12 @@ Four primitives back everything else in the package:
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
   Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule.
-  The equation is linear, so one RK4 step is one precomputed matrix P, and
-  the flux summed over the steps between two samples is one quadratic form
-  built by binary doubling; a step size outside the RK4 stability region,
-  or one that needs more than 2^40 steps, is rejected;
+  A run takes every step up to t_max, at :data:`DEFAULT_DT` by default,
+  and keeps 256 samples. The equation is linear, so one RK4 step is one
+  precomputed matrix P, and the flux summed over the steps between two
+  samples is one quadratic form built by binary doubling; a step size
+  outside the RK4 stability region, or one that needs more than 2^40
+  steps, is rejected;
 * :func:`decay_horizon` -- the time by which every decaying mode of
   L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the dense
   eigenvalues.
@@ -21,7 +23,6 @@ Four primitives back everything else in the package:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +106,17 @@ class UnstableStepError(ValueError):
 # of psi' = G psi is psi <- R(dt*G) psi exactly.
 _RK4_TAYLOR = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
 _STABILITY_SLACK = 1e-12
-# Just under 2^40 steps (K4 from class a, kappa=1, dt=3.44e-11) both routes
-# still read eta - 3.5e-7, as at dt=1e-3; larger counts are unmeasured, and
-# near 2^53 the step count itself stops being exact in floating point.
+# Per step RK4 loses about (dt * rho(H))^6 / 72 of |psi|^2, so T * dt^5 *
+# rho(H)^6 / 72 over a run of length T. At this step both dynamic routes
+# land within 1.6e-8 of eta on the kappa sweep of tests/test_transport.py
+# (n <= 16, kappa 1e-4 ... 1e4); JoinedComplete(125) (rho 127, T 3.7e5)
+# drifts by 1.9e-4 and needs dt = 1e-5.
+DEFAULT_DT = 1e-4
+# Just under 2^40 steps (K4 from class a, kappa=1, dt=3.44e-11, to the
+# horizon) both routes read eta - 2.6e-9, as at dt=1e-4; larger counts are
+# unmeasured, and near 2^53 the step count itself stops being exact.
 _MAX_STEPS = 2**40
+_SAMPLES = 256  # sample intervals per run; a shorter run samples every step
 _HORIZON_SURVIVAL = 1e-8
 # Relative to max(1, ||L||_F). Dark-mode rates are roundoff, about
 # eps * ||L||_F whatever kappa is; real rates fall as 1/kappa at large kappa,
@@ -150,10 +158,8 @@ def evolve_trapped(
     w: int,
     kappa: float,
     psi0: np.ndarray,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
     t_max: float = 500.0,
-    stop_tol: float | None = 1e-6,
-    max_samples: int = 512,
 ) -> TrappedEvolution:
     """Integrate the trapped walk with classical fixed-step RK4.
 
@@ -171,12 +177,9 @@ def evolve_trapped(
     radius of P exceeds 1 + 1e-12, that is when `dt` lies outside the RK4
     stability region, or when t_max / dt exceeds 2^40 steps.
 
-    Samples are taken every ``t_max / dt // max_samples`` steps and at the
-    last step. When `stop_tol` is set, integration stops once the absorbed
-    probability grew by less than `stop_tol` over the trailing 10% of
-    elapsed time (checked at sample points, and only after any absorption
-    has actually happened); this leaves kappa = 0 runs, and runs from states
-    the trap never sees, to complete the full horizon.
+    There is no early stop: the run takes all nsteps = round(t_max / dt)
+    steps. Samples are taken every ``max(1, nsteps // 256)`` steps and at
+    the last step, so a run of at most 256 steps records every step.
     """
     h = _trapped_hamiltonian(l, w, kappa)
     n = h.shape[0]
@@ -207,7 +210,7 @@ def evolve_trapped(
         )
 
     nsteps = int(round(t_max / dt))
-    stride = max(1, nsteps // max_samples)
+    stride = max(1, nsteps // _SAMPLES)
     q = np.zeros_like(z)
     q[w, w] = 2.0 * kappa
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -231,14 +234,9 @@ def evolve_trapped(
         absorbed += dt * s_b + 0.5 * dt * (f_b - f_prev)
         f_prev = f_b
         done += b
-        t = done * dt
-        times.append(t)
+        times.append(done * dt)
         norm_sq.append(float(np.linalg.norm(psi) ** 2))
         absorbed_at.append(absorbed)
-        if stop_tol is not None and absorbed > stop_tol:
-            i = bisect_left(times, 0.9 * t)
-            if i < len(absorbed_at) - 1 and absorbed - absorbed_at[i] < stop_tol:
-                break
 
     return TrappedEvolution(
         psi=psi,

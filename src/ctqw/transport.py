@@ -27,7 +27,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .graphs import FamilySpec, Graph, laplacian
-from .numerics import decay_horizon, evolve_trapped, sym_eig
+from .numerics import DEFAULT_DT, decay_horizon, evolve_trapped, sym_eig
 from .reduction import SubspaceBasis, _sign, closed_forms, krylov_basis
 
 
@@ -181,9 +181,8 @@ def efficiency_dynamic(
     g: Graph,
     trap: TrapSpec,
     psi0: InitialState | np.ndarray,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
     t_max: float | None = None,
-    stop_tol: float | None = 1e-6,
 ) -> tuple[float, float]:
     """Brute-force oracle: integrate the lossy dynamics and report
     (integrated trapping probability, lost norm). Both converge to eta as
@@ -195,9 +194,7 @@ def efficiency_dynamic(
     l = laplacian(g)
     if t_max is None:
         t_max = decay_horizon(l, trap.w, trap.kappa)
-    ev = evolve_trapped(
-        l, trap.w, trap.kappa, psi, dt=dt, t_max=t_max, stop_tol=stop_tol
-    )
+    ev = evolve_trapped(l, trap.w, trap.kappa, psi, dt=dt, t_max=t_max)
     survival = float(np.linalg.norm(ev.psi) ** 2)
     return ev.absorbed, 1.0 - survival
 
@@ -268,7 +265,7 @@ def efficiency_report(
     *,
     kappa: float = 1.0,
     oracle: bool = False,
-    dt: float = 1e-3,
+    dt: float = DEFAULT_DT,
     t_max: float | None = None,
     tol: float = 1e-10,
 ) -> EfficiencyReport:

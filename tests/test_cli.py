@@ -371,8 +371,9 @@ def test_back_to_back_requests_match_fresh_parsers(capsys):
     [
         ["complete", "--n", "4", "--state", "class:a", "--kappa", "0.001"],
         ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
+        ["complete", "--n", "8", "--state", "class:a", "--kappa", "1e4"],
     ],
-    ids=["K4-kappa-1e-3", "JCG6-b1-kappa-0.139"],
+    ids=["K4-kappa-1e-3", "JCG6-b1-kappa-0.139", "K8-kappa-1e4"],
 )
 def test_oracle_agrees_at_default_horizon(capsys, argv):
     code, out, err = run_cli(capsys, "efficiency", *argv, "--oracle")
@@ -396,7 +397,9 @@ def test_output_matches_golden(capsys, name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("state", ["vertex:a", "class:3", "vertex:", "class:-1"])
+# an index names one vertex, so super:1,1 is rejected; only a class token
+# draws its class's next vertex (super:c,c above)
+@pytest.mark.parametrize("state", ["vertex:a", "class:3", "vertex:", "class:-1", "super:1,1"])
 def test_state_kind_must_match_value(capsys, state):
     code, out, err = run_cli(capsys, "efficiency", "petersen", "--state", state)
     assert code == 2
