@@ -46,6 +46,7 @@ from .numerics import (
     decay_horizon,
     evolve_trapped,
     orthonormalize_against,
+    rk4_step,
     sym_eig,
 )
 from .reduction import (
@@ -64,7 +65,6 @@ from .transport import (
     InitialState,
     Localized,
     Superposition,
-    TrapSpec,
     UnsupportedCaseError,
     class_representative,
     class_uniform_state,

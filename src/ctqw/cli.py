@@ -36,7 +36,7 @@ from .graphs import (
     family_name,
     graph_to_json,
 )
-from .numerics import DEFAULT_DT, UnstableStepError
+from .numerics import UnstableStepError
 from .reduction import closed_forms
 from .transport import (
     Explicit,
@@ -253,26 +253,15 @@ def _cmd_efficiency(args) -> int:
         raise ValueError("--theta must be finite")
     if not (math.isfinite(args.kappa) and args.kappa >= 0):
         raise ValueError("--kappa must be finite and >= 0")
-    if not (math.isfinite(args.dt) and args.dt > 0):
-        raise ValueError("--dt must be finite and > 0")
-    if args.t_max is not None and not (math.isfinite(args.t_max) and args.t_max > 0):
-        raise ValueError("--t-max must be finite and > 0")
     spec = _spec_from_args(args)
     g = build(spec)
     psi0 = _parse_state(g, args.state, args.theta)
     try:
         report = efficiency_report(
-            spec,
-            g,
-            psi0,
-            kappa=args.kappa,
-            oracle=args.oracle,
-            dt=args.dt,
-            t_max=args.t_max,
-            tol=_dep_tol(),
+            spec, g, psi0, kappa=args.kappa, oracle=args.oracle, tol=_dep_tol()
         )
     except UnstableStepError as exc:
-        raise ValueError(f"--dt: {exc}") from exc
+        raise ValueError(f"--kappa {args.kappa:g}: {exc}") from exc
     payload = {
         "family": family_name(spec),
         "params": asdict(spec),
@@ -510,17 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--oracle",
             action="store_true",
             help="also run the eigenvector and dynamical routes",
-        )
-        sub.add_argument(
-            "--dt", type=float, default=DEFAULT_DT, help="oracle RK4 step (default %(default)g)"
-        )
-        sub.add_argument(
-            "--t-max",
-            type=float,
-            default=None,
-            dest="t_max",
-            help="oracle horizon, used as given (default: the time by which "
-            "every decaying mode keeps at most 1e-8 of its weight)",
         )
         sub.add_argument("--out", default=None, help="output path (default stdout)")
         sub.set_defaults(handler=_cmd_efficiency)

@@ -1,6 +1,6 @@
 """Dense numerical kernels.
 
-Four primitives back everything else in the package:
+Five primitives back everything else in the package:
 
 * :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix
   (LAPACK ``eigh``, ascending values, orthonormal vectors);
@@ -8,13 +8,15 @@ Four primitives back everything else in the package:
   by the invariant-subspace construction;
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
   Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
-  the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule.
-  A run takes every step up to t_max, at :data:`DEFAULT_DT` by default,
+  the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
+  with its Euler-Maclaurin end term. A run takes every step up to t_max
   and keeps 256 samples. The equation is linear, so one RK4 step is one
   precomputed matrix P, and the flux summed over the steps between two
   samples is one quadratic form built by binary doubling; a step size
   outside the RK4 stability region, or one that needs more than 2^40
   steps, is rejected;
+* :func:`rk4_step` -- the step for a run of a given length, from kappa
+  and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
   L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the dense
   eigenvalues.
@@ -106,12 +108,9 @@ class UnstableStepError(ValueError):
 # of psi' = G psi is psi <- R(dt*G) psi exactly.
 _RK4_TAYLOR = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
 _STABILITY_SLACK = 1e-12
-# Per step RK4 loses about (dt * rho(H))^6 / 72 of |psi|^2, so T * dt^5 *
-# rho(H)^6 / 72 over a run of length T. At this step both dynamic routes
-# land within 1.6e-8 of eta on the kappa sweep of tests/test_transport.py
-# (n <= 16, kappa 1e-4 ... 1e4); JoinedComplete(125) (rho 127, T 3.7e5)
-# drifts by 1.9e-4 and needs dt = 1e-5.
-DEFAULT_DT = 1e-4
+DEFAULT_DT = 1e-4  # the largest step rk4_step returns
+_NORM_DRIFT = 1e-9  # bound on the RK4 norm drift over a whole run
+_TRAP_STEP = 0.03  # bound on dt * kappa
 # Just under 2^40 steps (K4 from class a, kappa=1, dt=3.44e-11, to the
 # horizon) both routes read eta - 2.6e-9, as at dt=1e-4; larger counts are
 # unmeasured, and near 2^53 the step count itself stops being exact.
@@ -153,6 +152,24 @@ def decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
     return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * float(decaying.min()))
 
 
+def rk4_step(l: np.ndarray, kappa: float, t_max: float) -> float:
+    """RK4 step for a run of length `t_max > 0` at trap rate `kappa > 0`:
+    min(DEFAULT_DT, 0.03 / kappa, (72e-9 / (t_max * rho^6))^(1/5)), where
+    rho = 2 * max_i L_ii > 0 is the Gershgorin bound on the spectral radius
+    of the Laplacian `l`.
+
+    Per step RK4 loses about (dt * rho)^6 / 72 of |psi|^2, so T * dt^5 *
+    rho^6 / 72 over a run of length T; the third term holds that under
+    1e-9. The second keeps dt * kappa <= 0.03, where the trapezoid rule
+    with its end term resolves the fast trap mode of a state that starts on
+    the trap (K4 from the trap lands within 1.1e-8 of eta for every kappa
+    up to 1e4).
+    """
+    rho = 2.0 * float(np.max(np.diag(l)))
+    drift_step = (72.0 * _NORM_DRIFT / (t_max * rho**6)) ** 0.2
+    return min(DEFAULT_DT, _TRAP_STEP / kappa, drift_step)
+
+
 def evolve_trapped(
     l: np.ndarray,
     w: int,
@@ -164,9 +181,12 @@ def evolve_trapped(
     """Integrate the trapped walk with classical fixed-step RK4.
 
     The right-hand side is G psi with G = -i (L - i*kappa |w><w|). The
-    absorbed probability accumulates 2*kappa*|<w|psi>|^2 dt by the trapezoid
-    rule over every step, so absorbed + ||psi||^2 stays within integration
-    error of 1.
+    absorbed probability accumulates the flux f = 2*kappa*|<w|psi>|^2 by
+    the trapezoid rule over every step, and each sample adds the
+    Euler-Maclaurin end term -dt^2/12 * (f'(t) - f'(0)), with
+    f' = 4*kappa*Re(conj(psi_w) * (G psi)_w). The trapezoid rule alone errs
+    by about (dt*kappa)^2 / 3 on a state that starts on the trap; with the
+    end term, absorbed + ||psi||^2 stays within integration error of 1.
 
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
     which equals the four-stage update exactly. With Q = 2*kappa |w><w|, the
@@ -215,11 +235,9 @@ def evolve_trapped(
     q[w, w] = 2.0 * kappa
     pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    absorbed = 0.0
-    f_prev = 2.0 * kappa * abs(psi[w]) ** 2
     times = [0.0]
-    norm_sq = [float(np.linalg.norm(psi) ** 2)]
-    absorbed_at = [0.0]
+    states = [psi]
+    sums = [0.0]  # flux summed over the steps of each sample interval
     done = 0
 
     while done < nsteps:
@@ -227,24 +245,27 @@ def evolve_trapped(
         if b not in pairs:
             pairs[b] = _flux_pair(delta, q, b)
         jump, flux_sum = pairs[b]
-        s_b = float(np.vdot(psi, flux_sum @ psi).real)
+        sums.append(float(np.vdot(psi, flux_sum @ psi).real))
         psi = psi + jump @ psi
-        f_b = 2.0 * kappa * abs(psi[w]) ** 2
-        # trapezoid rule: dt * (f_0/2 + f_1 + ... + f_{b-1} + f_b/2)
-        absorbed += dt * s_b + 0.5 * dt * (f_b - f_prev)
-        f_prev = f_b
         done += b
         times.append(done * dt)
-        norm_sq.append(float(np.linalg.norm(psi) ** 2))
-        absorbed_at.append(absorbed)
+        states.append(psi)
 
+    samples = np.asarray(states)
+    flux = 2.0 * kappa * np.abs(samples[:, w]) ** 2
+    slope = 4.0 * kappa * (samples[:, w].conj() * (samples @ z[w])).real  # dt * f'
+    # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{k-1} + f_k/2), plus the
+    # Euler-Maclaurin end term -dt^2/12 * (f'(t_k) - f'(0))
+    absorbed_at = (
+        dt * np.cumsum(sums) + 0.5 * dt * (flux - flux[0]) - dt / 12.0 * (slope - slope[0])
+    )
     return TrappedEvolution(
         psi=psi,
-        absorbed=absorbed,
+        absorbed=float(absorbed_at[-1]),
         t_final=done * dt,
         times=np.asarray(times),
-        norm_sq=np.asarray(norm_sq),
-        absorbed_at=np.asarray(absorbed_at),
+        norm_sq=np.linalg.norm(samples, axis=1) ** 2,
+        absorbed_at=absorbed_at,
     )
 
 

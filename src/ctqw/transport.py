@@ -27,7 +27,7 @@ from typing import Literal, Union
 import numpy as np
 
 from .graphs import FamilySpec, Graph, laplacian
-from .numerics import DEFAULT_DT, decay_horizon, evolve_trapped, sym_eig
+from .numerics import decay_horizon, evolve_trapped, rk4_step, sym_eig
 from .reduction import SubspaceBasis, _sign, closed_forms, krylov_basis
 
 
@@ -63,16 +63,6 @@ class Explicit:
 
 
 InitialState = Union[Localized, Superposition, Explicit]
-
-
-@dataclass(frozen=True)
-class TrapSpec:
-    w: int
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
 
 
 def _as_vector(psi0: InitialState | np.ndarray, n: int) -> np.ndarray:
@@ -178,23 +168,19 @@ def efficiency_lambda(
 
 
 def efficiency_dynamic(
-    g: Graph,
-    trap: TrapSpec,
-    psi0: InitialState | np.ndarray,
-    dt: float = DEFAULT_DT,
-    t_max: float | None = None,
+    g: Graph, w: int, psi0: InitialState | np.ndarray, kappa: float
 ) -> tuple[float, float]:
-    """Brute-force oracle: integrate the lossy dynamics and report
-    (integrated trapping probability, lost norm). Both converge to eta as
-    t_max grows; ``t_max=None`` integrates up to :func:`decay_horizon`, by
-    which every decaying mode keeps at most 1e-8 of its weight."""
-    if trap.kappa <= 0:
+    """Brute-force oracle: integrate the lossy dynamics with trap rate
+    `kappa` at vertex `w` and report (integrated trapping probability, lost
+    norm). The run ends at :func:`decay_horizon`, by which every decaying
+    mode keeps at most 1e-8 of its weight, and steps at :func:`rk4_step`
+    for that length."""
+    if not kappa > 0:
         raise ValueError("dynamic efficiency needs kappa > 0")
     psi = _as_vector(psi0, g.n)
     l = laplacian(g)
-    if t_max is None:
-        t_max = decay_horizon(l, trap.w, trap.kappa)
-    ev = evolve_trapped(l, trap.w, trap.kappa, psi, dt=dt, t_max=t_max)
+    t_max = decay_horizon(l, w, kappa)
+    ev = evolve_trapped(l, w, kappa, psi, dt=rk4_step(l, kappa, t_max), t_max=t_max)
     survival = float(np.linalg.norm(ev.psi) ** 2)
     return ev.absorbed, 1.0 - survival
 
@@ -265,8 +251,6 @@ def efficiency_report(
     *,
     kappa: float = 1.0,
     oracle: bool = False,
-    dt: float = DEFAULT_DT,
-    t_max: float | None = None,
     tol: float = 1e-10,
 ) -> EfficiencyReport:
     """Evaluate every applicable route for one (graph, initial state) point;
@@ -281,8 +265,7 @@ def efficiency_report(
     both vertices known to exist, and the record does not know class sizes,
     so it would price a pair from a one-vertex class (2*29/49 > 1 for
     JoinedComplete(6) ``b1``). With ``oracle=True`` the eigenvector route
-    and the dynamical integration run as well; ``t_max=None`` sends the
-    latter to its spectral horizon (see :func:`efficiency_dynamic`).
+    and the dynamical integration (:func:`efficiency_dynamic`) run as well.
     """
     basis = krylov_basis(g, 0, tol)
     psi = initial_state_vector(psi0, g.n)
@@ -303,9 +286,7 @@ def efficiency_report(
     eta_lam = eta_dyn = eta_sur = None
     if oracle:
         eta_lam = efficiency_lambda(g, 0, psi)
-        eta_dyn, eta_sur = efficiency_dynamic(
-            g, TrapSpec(0, kappa), psi, dt=dt, t_max=t_max
-        )
+        eta_dyn, eta_sur = efficiency_dynamic(g, 0, psi, kappa)
 
     return EfficiencyReport(
         eta_subspace=eta_sub,
@@ -325,7 +306,6 @@ __all__ = [
     "Localized",
     "Superposition",
     "SuperpositionMode",
-    "TrapSpec",
     "UnsupportedCaseError",
     "class_representative",
     "class_uniform_state",

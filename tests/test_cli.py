@@ -127,8 +127,6 @@ def test_efficiency_with_oracle(capsys):
         "--state",
         "class:a",
         "--oracle",
-        "--t-max",
-        "200",
     )
     assert code == 0
     eta = json.loads(out)["eta"]
@@ -267,43 +265,27 @@ def test_dependency_tolerance_env(capsys, monkeypatch):
     assert json.loads(out)["eta"]["subspace"] == pytest.approx(1 / 3, abs=1e-9)
 
 
-def test_oracle_disagreement_exits_3(capsys):
+def test_oracle_disagreement_exits_3(capsys, monkeypatch):
     # a horizon far too short for the dynamics to converge trips the
     # numeric-agreement gate
+    monkeypatch.setattr(transport, "decay_horizon", lambda l, w, kappa: 0.5)
     code, out, err = run_cli(
-        capsys,
-        "efficiency",
-        "jcg",
-        "--half",
-        "6",
-        "--state",
-        "class:b1",
-        "--oracle",
-        "--t-max",
-        "0.5",
+        capsys, "efficiency", "jcg", "--half", "6", "--state", "class:b1", "--oracle"
     )
     assert code == 3
     assert "disagree" in err
     assert json.loads(out)["eta"]["subspace"] == pytest.approx(29 / 49, abs=1e-9)
 
 
-def test_unstable_rk4_step_names_dt(capsys):
-    code, out, err = run_cli(
-        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--dt", "2"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "--dt" in err and "stability" in err
-
-
 def test_step_count_cap_names_dt(capsys):
-    # about 4e16 steps to the horizon: rejected before any step runs
+    # a horizon of 3.7e10 takes about 1e15 steps: rejected before any step
+    # runs, naming the rate that set the horizon and the step it needs
     code, out, err = run_cli(
-        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--dt", "1e-15"
+        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--kappa", "1e-9"
     )
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and "--dt" in err and "2^40" in err
+    assert err.count("\n") == 1 and "--kappa" in err and "dt=" in err and "2^40" in err
 
 
 def test_closed_form_disagreement_exits_3(capsys, monkeypatch):
@@ -372,14 +354,29 @@ def test_back_to_back_requests_match_fresh_parsers(capsys):
         ["complete", "--n", "4", "--state", "class:a", "--kappa", "0.001"],
         ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
         ["complete", "--n", "8", "--state", "class:a", "--kappa", "1e4"],
+        # large graphs, where a fixed step drifts past the dynamics check
+        ["complete", "--n", "250", "--state", "class:a"],
+        ["cbg", "--n1", "125", "--n2", "125", "--state", "class:b"],
+        ["jcg", "--half", "125", "--state", "class:c"],
+        # the trap's own state, whose flux decays at rate 2 kappa
+        ["complete", "--n", "4", "--state", "vertex:0", "--kappa", "1e3"],
     ],
-    ids=["K4-kappa-1e-3", "JCG6-b1-kappa-0.139", "K8-kappa-1e4"],
+    ids=[
+        "K4-kappa-1e-3",
+        "JCG6-b1-kappa-0.139",
+        "K8-kappa-1e4",
+        "K250-a",
+        "CBG125+125-b",
+        "JCG125-c",
+        "K4-trap-kappa-1e3",
+    ],
 )
 def test_oracle_agrees_at_default_horizon(capsys, argv):
     code, out, err = run_cli(capsys, "efficiency", *argv, "--oracle")
     assert code == 0, err
     eta = json.loads(out)["eta"]
     assert eta["dynamic_absorbed"] == pytest.approx(eta["subspace"], abs=1e-6)
+    assert eta["dynamic_survival"] == pytest.approx(eta["subspace"], abs=1e-6)
 
 
 def test_malformed_state_is_invalid_parameter(capsys):
@@ -416,9 +413,7 @@ def test_super_state_accepts_indices_and_labels(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--theta", "nan"), ("--theta", "inf"), ("--kappa", "-1"), ("--kappa", "nan"), ("--kappa", "inf"),
-     ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--dt", "-0.001"),
-     ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "0"), ("--t-max", "-5")],
+    [("--theta", "nan"), ("--theta", "inf"), ("--kappa", "-1"), ("--kappa", "nan"), ("--kappa", "inf")],
 )
 def test_non_finite_or_negative_numeric_flags_exit_2(capsys, flag, value):
     code, out, err = run_cli(

@@ -7,15 +7,20 @@ import pytest
 from ctqw import (
     UnstableStepError,
     build_complete,
+    build_complete_bipartite,
     build_joined_complete,
     build_paley_prime,
     build_petersen,
+    build_rook,
+    build_simplex,
     decay_horizon,
     evolve_trapped,
     laplacian,
     orthonormalize_against,
+    rk4_step,
     sym_eig,
 )
+from ctqw.numerics import DEFAULT_DT
 
 from _oracles import (
     rk4_trapped_reference,
@@ -73,12 +78,12 @@ def test_sym_eig_matches_quadratic_roots_exhaustively():
 
 def test_sym_eig_matches_cubic_roots_exhaustively():
     # all symmetric 3x3 integer matrices with entries in [-3, 3]
-    span = range(-3, 4)
-    for a, b, c, d, e, f in itertools.product(span, repeat=6):
-        m = np.array([[a, b, c], [b, d, e], [c, e, f]], dtype=float)
-        got = sym_eig(m).values
-        want = symmetric_3x3_eigenvalues(m)
-        assert np.max(np.abs(got - want)) <= 1e-9, m
+    upper = np.array(list(itertools.product(range(-3, 4), repeat=6)), dtype=float)
+    stack = upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    want = symmetric_3x3_eigenvalues(stack)
+    got = np.array([sym_eig(m).values for m in stack])
+    err = np.max(np.abs(got - want), axis=1)
+    assert np.max(err) <= 1e-9, stack[np.argmax(err)]
 
 
 def test_orthonormalize_basic():
@@ -219,6 +224,33 @@ def test_decay_horizon_two_vertices(kappa):
     gamma = kappa / 2 - math.sqrt(max(0.0, kappa * kappa / 4 - 1))
     expected = math.log(1e8) / (2 * gamma)
     assert decay_horizon(l, 0, kappa) == pytest.approx(expected, rel=1e-9)
+
+
+# the benchmark's oracle panel, one paper-scale instance per family
+_ORACLE_PANEL = {
+    "K8": build_complete(8),
+    "CBG5+4": build_complete_bipartite(5, 4),
+    "paley13": build_paley_prime(13),
+    "petersen": build_petersen(),
+    "rook4": build_rook(4),
+    "JCG6": build_joined_complete(6),
+    "simplex3": build_simplex(3),
+}
+
+
+@pytest.mark.parametrize("kappa", [0.1, 10.0])
+@pytest.mark.parametrize("g", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())
+def test_rk4_step_keeps_the_default_on_the_oracle_panel(g, kappa):
+    l = laplacian(g)
+    assert rk4_step(l, kappa, decay_horizon(l, 0, kappa)) == DEFAULT_DT
+
+
+def test_rk4_step_bounds():
+    l = laplacian(build_joined_complete(125))  # rho = 2 * 125
+    t_max = 3.7e5
+    dt = rk4_step(l, 1.0, t_max)
+    assert t_max * dt**5 * 250.0**6 / 72 == pytest.approx(1e-9)
+    assert rk4_step(laplacian(build_complete(4)), 1e4, 10.0) == pytest.approx(3e-6)
 
 
 def test_decay_horizon_needs_a_decaying_mode():

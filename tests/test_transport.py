@@ -14,7 +14,6 @@ from ctqw import (
     Rook,
     Simplex,
     Superposition,
-    TrapSpec,
     UnsupportedCaseError,
     build,
     class_representative,
@@ -184,21 +183,22 @@ def test_membership_and_orthogonality_randomized():
 
 def test_dynamic_oracle_on_k4():
     g = build(Complete(4))
-    absorbed, survival = efficiency_dynamic(g, TrapSpec(0, 1.0), Localized(1))
+    absorbed, survival = efficiency_dynamic(g, 0, Localized(1), 1.0)
     assert absorbed == pytest.approx(1 / 3, abs=1e-2)
     assert survival == pytest.approx(1 / 3, abs=1e-2)
 
 
 def test_dynamic_oracle_from_trap():
     g = build(Complete(4))
-    absorbed, survival = efficiency_dynamic(g, TrapSpec(0, 1.0), Localized(0))
+    absorbed, survival = efficiency_dynamic(g, 0, Localized(0), 1.0)
     assert absorbed == pytest.approx(1.0, abs=1e-2)
     assert survival == pytest.approx(1.0, abs=1e-2)
 
 
-# kappa = 1e-4 ... 1e4 by decades, all at the default step
+# kappa = 1e-4 ... 1e4 by decades, each at the step rk4_step picks
 _KAPPA_DECADES = [10.0**k for k in range(-4, 5)]
 # every non-trap class of the benchmark's oracle panel, and K4 from vertex 1
+# and from the trap itself
 _ORACLE_PANEL = {
     "K8": (Complete(8), ("a",)),
     "CBG5+4": (CompleteBipartite(5, 4), ("a", "b")),
@@ -208,7 +208,11 @@ _ORACLE_PANEL = {
     "JCG6": (JoinedComplete(6), ("a", "b1", "b2", "c")),
     "simplex3": (Simplex(3), ("a", "b", "c", "d", "e", "f")),
 }
-_KAPPA_SWEEP = [("K4", Complete(4), "1", k) for k in _KAPPA_DECADES] + [
+_KAPPA_SWEEP = [
+    (name, Complete(4), v, k)
+    for name, v in (("K4", "1"), ("K4-trap", "0"))
+    for k in _KAPPA_DECADES
+] + [
     (f"{name}-{label}", spec, label, k)
     for name, (spec, labels) in _ORACLE_PANEL.items()
     for label in labels
@@ -225,14 +229,14 @@ def test_dynamic_oracle_kappa_sweep_at_default_horizon(spec, where, kappa):
     g = build(spec)
     v = int(where) if where.isdigit() else class_representative(g, where)
     eta = efficiency_subspace(g, 0, Localized(v))
-    absorbed, survival = efficiency_dynamic(g, TrapSpec(0, kappa), Localized(v))
+    absorbed, survival = efficiency_dynamic(g, 0, Localized(v), kappa)
     assert absorbed == pytest.approx(eta, abs=1e-7)
     assert survival == pytest.approx(eta, abs=1e-7)
 
 
 def test_dynamic_oracle_rejects_zero_kappa():
     with pytest.raises(ValueError):
-        efficiency_dynamic(build(Complete(4)), TrapSpec(0, 0.0), Localized(1))
+        efficiency_dynamic(build(Complete(4)), 0, Localized(1), 0.0)
 
 
 def test_initial_state_vector():
@@ -260,7 +264,7 @@ def test_class_helpers():
 
 def test_efficiency_report_routes_agree():
     report = efficiency_report(
-        Complete(4), build(Complete(4)), Localized(1), oracle=True, t_max=200.0
+        Complete(4), build(Complete(4)), Localized(1), oracle=True
     )
     assert report.m == 2
     assert report.eta_subspace == pytest.approx(1 / 3, abs=1e-12)
