@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
+from itertools import chain
 
 from .connectivity import connectivity_report, correlation_table
 from .graphs import (
@@ -115,9 +116,9 @@ def _dumps(payload) -> str:
     the containers are joined directly and the leaves go to the same
     functions the stdlib calls (its C string escaper, ``int.__repr__``,
     ``float.__repr__``); a list of integer pairs, such as an edge list,
-    goes through one ``%`` template. Anything else (non-string keys,
-    subclasses, non-finite floats, unknown types) is handed to
-    ``json.dumps`` itself, which formats it or raises as usual.
+    is formatted by a single ``%`` over all its entries. Anything else
+    (non-string keys, subclasses, non-finite floats, unknown types) is
+    handed to ``json.dumps`` itself, which formats it or raises as usual.
     """
     return _encode(payload, "\n") + "\n"
 
@@ -126,13 +127,15 @@ _escape = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _is_int_pair(row) -> bool:
-    return (
-        type(row) in (list, tuple)
-        and len(row) == 2
-        and type(row[0]) is int
-        and type(row[1]) is int
-    )
+def _int_pair_leaves(rows) -> tuple | None:
+    """The leaves of `rows` in order when every row is a list or tuple of
+    two ``int`` leaves (not ``bool``), else None. Each test is one C-level
+    pass over the rows or leaves, with no Python call per row."""
+    if set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) == {2}:
+        leaves = tuple(chain.from_iterable(rows))
+        if set(map(type, leaves)) == {int}:
+            return leaves
+    return None
 
 
 def _encode(obj, newline: str) -> str:
@@ -156,12 +159,14 @@ def _encode(obj, newline: str) -> str:
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if all(map(_is_int_pair, obj)):
+        sep = "," + inner
+        leaves = _int_pair_leaves(obj)
+        if leaves is not None:
             row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            items = [row % (i, j) for i, j in obj]
+            body = sep.join([row] * len(obj)) % leaves
         else:
-            items = [_encode(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = sep.join([_encode(item, inner) for item in obj])
+        return "[" + inner + body + newline + "]"
     return json.dumps(obj, indent=2, allow_nan=False).replace("\n", newline)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
+from numbers import Integral
 from typing import Callable, Union
 
 import numpy as np
@@ -25,9 +27,13 @@ Edge = tuple[int, int]
 class Graph:
     """Undirected simple graph with optional vertex-class labels.
 
-    ``edges`` is canonicalized to a lexicographically sorted tuple of
-    ``(i, j)`` pairs with ``i < j``. ``classes``, when present, must
-    assign a label to every vertex.
+    ``edges`` (any iterable of index pairs) is canonicalized to a
+    lexicographically sorted tuple of ``(i, j)`` Python-int pairs with
+    ``i < j``; an input that already has that form is kept as it is.
+    Entries must be integers. A self-loop, an index outside ``range(n)`` or
+    a repeated edge raises ValueError naming the first offending edge in
+    input order. ``classes``, when present, must assign a label to every
+    vertex.
     """
 
     n: int
@@ -35,28 +41,61 @@ class Graph:
     classes: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        canon = set()
-        for i, j in self.edges:
+        edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
+        try:
+            pairs = set(map(len, edges)) <= {2}
+        except TypeError:
+            pairs = False
+        if not pairs:
+            raise ValueError("edges must be pairs of vertex indices")
+        kinds = set(map(type, chain.from_iterable(edges)))
+        if not all(issubclass(kind, Integral) for kind in kinds):
+            i, j = next(e for e in edges if not all(isinstance(v, Integral) for v in e))
+            raise ValueError(f"edge ({i!r},{j!r}) has a non-integer vertex index")
+        # the one conversion to an index array; every check below is vectorized
+        try:
+            ij = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        except OverflowError:  # beyond int64, so out of range: reported below
+            ij = np.array(edges, dtype=object)
+        ij = ij.reshape(-1, 2)
+        oriented = bool((ij[:, 0] < ij[:, 1]).all())
+        ij.sort(axis=1)  # each row becomes (lo, hi), in place
+        lo, hi = ij.T
+        keys = lo * n + hi
+        in_order = oriented and bool((keys[1:] > keys[:-1]).all())
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # an edge is bad if it is a self-loop, out of range or (the stable
+        # sort keeps input order among equal keys) repeats an earlier edge
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        bad[order[1:][keys[1:] == keys[:-1]]] = True
+        if bad.any():
+            i, j = edges[int(bad.argmax())]
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            e = (min(i, j), max(i, j))
-            if e in canon:
-                raise ValueError(f"duplicate edge {e}")
-            canon.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+            raise ValueError(f"duplicate edge {(min(i, j), max(i, j))}")
+        index = (ij if in_order else ij[order]).T
+        if not (
+            in_order
+            and type(self.edges) is tuple
+            and kinds <= {int}
+            and set(map(type, edges)) <= {tuple}
+        ):
+            object.__setattr__(self, "edges", tuple(zip(*index.tolist())))
+        object.__setattr__(self, "_index", index)  # (2, E), in the order of edges
         if self.classes is not None:
-            if set(self.classes) != set(range(self.n)):
+            if set(self.classes) != set(range(n)):
                 raise ValueError("class map must assign a label to every vertex")
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        a[self._index, self._index[::-1]] = 1.0
         a.setflags(write=False)
         return a
 

@@ -501,6 +501,10 @@ def test_writer_matches_stdlib_on_random_payloads():
         {"edges": []},
         [[True, False], [1, 0]],
         [[1, 2], [3, 4, 5]],
+        [[0, 1], (2, 3), [-4, 2**70]],
+        [[0, 1], 5],
+        [[0, 1], "ab"],
+        [[0, 1], [2, 3.0]],
         {1: "int key", 2.5: [None], None: {}, False: ()},
         {"nested": {"": [{}, [], [[]]]}},
         [1, [2, [3, [4, {"five": (6,)}]]]],

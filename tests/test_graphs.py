@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,112 @@ def test_graph_rejects_bad_input():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         Graph(3, ((0, 1),), classes={0: "w", 1: "a"})
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, (), "graph needs at least one vertex"),
+        (3, ((0, 0),), "self-loop at vertex 0"),
+        (3, ((0, 3),), "edge (0,3) out of range for n=3"),
+        (3, ((-1, 2),), "edge (-1,2) out of range for n=3"),
+        (3, ((2, -1),), "edge (2,-1) out of range for n=3"),
+        (3, ((0, 1), (0, 1)), "duplicate edge (0, 1)"),
+        (3, ((0, 1), (1, 0)), "duplicate edge (0, 1)"),
+        (3, ((2, 1), (1, 2)), "duplicate edge (1, 2)"),
+        # several bad edges: the first in input order is named ...
+        (3, ((0, 1), (2, 5), (1, 1)), "edge (2,5) out of range for n=3"),
+        (3, ((0, 1), (0, 1), (0, 0)), "duplicate edge (0, 1)"),
+        (3, ((1, 2), (0, 1), (2, 1), (1, 0)), "duplicate edge (1, 2)"),
+        (4, ((3, 1), (0, 2), (2, 0), (1, 3)), "duplicate edge (0, 2)"),
+        # ... and a self-loop outranks a range error on the same edge
+        (3, ((5, 5),), "self-loop at vertex 5"),
+        (3, ((-1, -1), (0, 9)), "self-loop at vertex -1"),
+        # (0,5) has the key 0*3+5 of (1,2); neither hides the other
+        (3, ((0, 5), (1, 2)), "edge (0,5) out of range for n=3"),
+        (3, ((1, 2), (0, 5)), "edge (0,5) out of range for n=3"),
+    ],
+)
+def test_graph_error_messages(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message
+
+
+def _assert_canonical(g, expected):
+    assert g.edges == expected
+    assert type(g.edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
+CANONICAL = ((0, 1), (0, 3), (1, 2), (2, 3), (2, 4))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        CANONICAL,
+        tuple(reversed(CANONICAL)),
+        tuple((j, i) for i, j in CANONICAL),
+        ((2, 4), (1, 0), (3, 2), (0, 3), (2, 1)),
+        [list(e) for e in CANONICAL[::-1]],
+        [(3, 0), [2, 1], (4, 2), [0, 1], (2, 3)],
+    ],
+    ids=["sorted", "reversed", "flipped", "shuffled", "list-pairs", "mixed"],
+)
+def test_graph_canonicalizes_edges(edges):
+    _assert_canonical(Graph(5, edges), CANONICAL)
+
+
+def test_graph_accepts_generator_input():
+    g = Graph(5, ((j, i) for i, j in reversed(CANONICAL)))
+    _assert_canonical(g, CANONICAL)
+    assert g == Graph(5, CANONICAL)
+
+
+def test_graph_stores_numpy_int_pairs_as_python_ints():
+    for dtype in (np.int64, np.int32, np.uint8):
+        edges = tuple((dtype(j), dtype(i)) for i, j in CANONICAL)
+        _assert_canonical(Graph(5, edges), CANONICAL)
+    _assert_canonical(Graph(5, tuple(np.array(CANONICAL))), CANONICAL)
+
+
+def test_graph_rejects_non_integer_entries():
+    for edges in (((0, 0.5),), ((0, 1.0),), ((0, 1), (1, np.float64(2))), ((0, None),)):
+        with pytest.raises(ValueError):
+            Graph(3, edges)
+
+
+def test_graph_single_vertex_without_edges():
+    g = Graph(1, ())
+    assert g.edges == ()
+    assert np.array_equal(g.adjacency, np.zeros((1, 1)))
+    assert np.array_equal(g.degrees, [0.0])
+    assert g.is_connected()
+
+
+@pytest.mark.parametrize("g", ALL_INSTANCES, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+def test_adjacency_matches_loop_reference(g):
+    ref = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        ref[i, j] = ref[j, i] = 1.0
+    assert g.adjacency.dtype == ref.dtype
+    assert np.array_equal(g.adjacency, ref)
+    assert not g.adjacency.flags.writeable
+
+
+def test_complete_250_build_memory_peak():
+    # keeping the builder's canonical tuple and filling the adjacency from
+    # one index array holds the transient peak of K_250 (31,125 edges)
+    build_complete(250).adjacency  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        build_complete(250).adjacency
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("g", ALL_INSTANCES, ids=lambda g: f"n{g.n}e{len(g.edges)}")
