@@ -2,10 +2,18 @@
 
 Vertex and edge connectivity come from unit-capacity max-flow (BFS
 augmenting paths; vertex version on the standard vertex-split digraph,
-where vertex v is an arc v_in -> v_out of capacity 1). Two classic bounds
-keep the number of flows small, and every flow stops augmenting once it
-reaches the best cut found so far, since only a smaller value can change
-the answer:
+where vertex v is an arc v_in -> v_out of capacity 1). The BFS takes one
+whole level per step: the frontier's residual rows, as one boolean block
+with the visited columns masked out, give the next level, and each new
+vertex takes as parent the first frontier vertex that reaches it
+(`argmax` down the block's column). It stops at the level that reaches
+t, so every augmenting path is a shortest one, as Edmonds-Karp needs;
+the path may differ from a vertex-at-a-time BFS's, but the flow value
+does not.
+
+Two classic bounds keep the number of flows small, and every flow stops
+augmenting once it reaches the best cut found so far, since only a
+smaller value can change the answer:
 
 - kappa (Even, SIAM J. Comput. 4, 1975): only sources v_0 ... v_kappa are
   needed, each against the non-adjacent vertices of larger index. The
@@ -38,7 +46,6 @@ normalized variant divides entries by sqrt(deg_i * deg_j).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,17 +76,18 @@ def _max_flow(
     n = residual.shape[0]
     flow = len(paths)
     while flow < cutoff:
+        # breadth-first, one level per step: a new vertex's parent is the
+        # first frontier vertex with a residual arc to it
         parent = np.full(n, -1, dtype=np.int64)
         parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            u = queue.popleft()
-            for v in np.flatnonzero(residual[u] > 0):
-                if parent[v] < 0:
-                    parent[v] = u
-                    queue.append(int(v))
-        if parent[t] < 0:
-            return flow
+        frontier = np.array([s])
+        while parent[t] < 0:
+            reach = (residual[frontier] > 0) & (parent < 0)
+            fresh = np.flatnonzero(reach.any(axis=0))
+            if fresh.size == 0:
+                return flow
+            parent[fresh] = frontier[reach[:, fresh].argmax(axis=0)]
+            frontier = fresh
         v = t
         while v != s:
             u = int(parent[v])

@@ -51,34 +51,40 @@ class Graph:
             pairs = False
         if not pairs:
             raise ValueError("edges must be pairs of vertex indices")
-        kinds = set(map(type, chain.from_iterable(edges)))
-        if not all(issubclass(kind, Integral) for kind in kinds):
+        flat = tuple(chain.from_iterable(edges))
+        kinds = set(map(type, flat))
+        if not (kinds <= {int} or all(issubclass(kind, Integral) for kind in kinds)):
             i, j = next(e for e in edges if not all(isinstance(v, Integral) for v in e))
             raise ValueError(f"edge ({i!r},{j!r}) has a non-integer vertex index")
         # the one conversion to an index array; every check below is vectorized
         try:
-            ij = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-        except OverflowError:  # beyond int64, so out of range: reported below
-            ij = np.array(edges, dtype=object)
-        ij = ij.reshape(-1, 2)
-        oriented = bool((ij[:, 0] < ij[:, 1]).all())
-        ij.sort(axis=1)  # each row becomes (lo, hi), in place
-        lo, hi = ij.T
+            ij = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+        except OverflowError:  # beyond int64, so out of range: -1 stands in
+            flat = [v if -(2**63) <= v < 2**63 else -1 for v in flat]
+            ij = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+        # read unsigned, a negative index wraps above any n, so a row is an
+        # edge of range(n) iff lo < hi < n once sorted
+        rows = ij.view(np.uint64)
+        lo, hi = rows[:, 0], rows[:, 1]  # views: (lo, hi) once sorted in place
+        oriented = np.count_nonzero(lo < hi) == len(rows)
+        rows.sort(axis=1)
         keys = lo * n + hi
-        in_order = oriented and bool((keys[1:] > keys[:-1]).all())
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
         # an edge is bad if it is a self-loop, out of range or (the stable
         # sort keeps input order among equal keys) repeats an earlier edge
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
-        bad[order[1:][keys[1:] == keys[:-1]]] = True
-        if bad.any():
+        bad = (lo == hi) | (hi >= n)
+        repeat = ranked[1:] == ranked[:-1]
+        if np.count_nonzero(bad) or np.count_nonzero(repeat):
+            bad[order[1:][repeat]] = True
             i, j = edges[int(bad.argmax())]
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             raise ValueError(f"duplicate edge {(min(i, j), max(i, j))}")
+        # with no repeats, the input is sorted iff its keys are
+        in_order = oriented and np.count_nonzero(ranked == keys) == len(keys)
         index = (ij if in_order else ij[order]).T
         if not (
             in_order

@@ -27,6 +27,7 @@ _GOLDEN_GRAPHS = {
     "graph-rook-6.json": ["rook", "--n", "6"],
     "graph-simplex-6.json": ["simplex", "--m", "6"],
     "graph-paley-29.json": ["paley", "--p", "29"],
+    "graph-paley-53.json": ["paley", "--p", "53"],
     "graph-cbg-22-12.json": ["cbg", "--n1", "22", "--n2", "12"],
 }
 

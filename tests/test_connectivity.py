@@ -229,6 +229,25 @@ def test_edge_connectivity_stops_at_one(flow_calls):
     assert len(flow_calls) == 1
 
 
+# (kappa, max flows run for kappa, lambda, max flows run for lambda): a
+# faster flow kernel leaves this schedule alone, and a new certificate
+# should lower the counts
+@pytest.mark.parametrize(
+    "g, schedule",
+    [
+        (build_paley_prime(41), (20, 317, 20, 3)),
+        (build_rook(6), (10, 230, 10, 5)),
+        (build_simplex(6), (6, 210, 6, 6)),
+    ],
+    ids=["paley41", "rook6", "simplex6"],
+)
+def test_flow_schedule_is_pinned(flow_calls, g, schedule):
+    kappa = vertex_connectivity(g)
+    kappa_flows = len(flow_calls)
+    lam = edge_connectivity(g)
+    assert (kappa, kappa_flows, lam, len(flow_calls) - kappa_flows) == schedule
+
+
 def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
     side = [k for k, size in enumerate(parts) for _ in range(size)]
     n = len(side)
@@ -268,12 +287,36 @@ def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
     assert any(paths > 0 for *_, paths in near_misses)
 
 
+def _check_flows(capacity, s, t, n, certificate, expected):
+    """The kernel from zero and from the certificate paths gives
+    min(maxflow, cutoff) at every cutoff up to the max flow and at n.
+    Returns how many of those cutoffs were below the max flow."""
+    below = 0
+    for cutoff in sorted({*range(1, expected + 1), n}):
+        want = min(expected, cutoff)
+        assert connectivity._max_flow(capacity, s, t, cutoff, []) == want, (s, t, cutoff)
+        if cutoff > len(certificate):
+            assert connectivity._max_flow(capacity, s, t, cutoff, certificate) == want, (
+                s, t, cutoff, certificate,
+            )
+        below += cutoff < expected
+    return below
+
+
 def test_flow_from_certificate_paths_matches_flow_from_zero():
-    # on both networks the kernel runs on, against brute-force local cuts
+    # on both networks the kernel runs on, against brute-force local cuts;
+    # every fourth graph has two components, so some t are unreachable
     rng = random.Random("preflow")
-    for _ in range(40):
+    seen = {"below cutoff": 0, "unreachable": 0, "residual exhausted": 0, "first level": 0}
+    for k in range(40):
         n = rng.randint(4, 10)
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6}
+        side = rng.randint(2, n - 2) if k % 4 == 3 else n
+        edges = {
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.6 and (i < side) == (j < side)
+        }
         g = Graph(n, tuple(edges))
         adj = g.adjacency.astype(bool)
         capacity = g.adjacency.astype(np.int64)
@@ -286,15 +329,21 @@ def test_flow_from_certificate_paths_matches_flow_from_zero():
                 paths = [(v, c, w) for c in common]
                 if adj[v, w]:
                     paths.append((v, w))
-                flow = connectivity._max_flow(capacity, v, w, n, [])
-                assert flow == brute_local_edge_cut(n, edges, v, w), (edges, v, w)
-                assert connectivity._max_flow(capacity, v, w, n, paths) == flow, (edges, v, w)
+                cut = brute_local_edge_cut(n, edges, v, w)
+                seen["below cutoff"] += _check_flows(capacity, v, w, n, paths, cut)
+                seen["unreachable"] += (v < side) != (w < side)
+                seen["residual exhausted"] += 0 < len(paths) == cut
                 if adj[v, w]:
+                    seen["first level"] += 1
+                    # s_out -> t_in has capacity n: every BFS ends at level 1
+                    for cutoff in range(1, n + 1):
+                        assert connectivity._max_flow(split, v + n, w, cutoff, []) == cutoff
                     continue
                 paths = [(v + n, c, c + n, w) for c in common]
-                flow = connectivity._max_flow(split, v + n, w, n, [])
-                assert flow == brute_local_vertex_cut(n, edges, v, w), (edges, v, w)
-                assert connectivity._max_flow(split, v + n, w, n, paths) == flow, (edges, v, w)
+                cut = brute_local_vertex_cut(n, edges, v, w)
+                seen["below cutoff"] += _check_flows(split, v + n, w, n, paths, cut)
+                seen["residual exhausted"] += 0 < len(paths) == cut
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize(

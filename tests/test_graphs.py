@@ -75,6 +75,12 @@ def test_graph_rejects_bad_input():
         # (0,5) has the key 0*3+5 of (1,2); neither hides the other
         (3, ((0, 5), (1, 2)), "edge (0,5) out of range for n=3"),
         (3, ((1, 2), (0, 5)), "edge (0,5) out of range for n=3"),
+        # indices beyond int64 are out of range, and a self-loop still first
+        (3, ((0, 1), (2, 2**70)), "edge (2,1180591620717411303424) out of range for n=3"),
+        (3, ((-(2**70), 1),), "edge (-1180591620717411303424,1) out of range for n=3"),
+        (3, ((2**70, 2**70), (0, 9)), "self-loop at vertex 1180591620717411303424"),
+        (3, ((0, 1), (np.uint64(2**64 - 1), 1)), "edge (18446744073709551615,1) out of range for n=3"),
+        (3, ((np.int64(1), 2**70),), "edge (1,1180591620717411303424) out of range for n=3"),
     ],
 )
 def test_graph_error_messages(n, edges, message):
