@@ -36,7 +36,6 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     laplacian,
-    srg_parameters,
     validate_srg,
 )
 from .numerics import (
@@ -50,7 +49,6 @@ from .numerics import (
     sym_eig,
 )
 from .reduction import (
-    ReducedHamiltonian,
     SubspaceBasis,
     UnsupportedFamilyError,
     closed_form_basis,

@@ -56,13 +56,7 @@ _DYNAMIC_TOL = 1e-6
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _jnum(x: float | None) -> float | None:
@@ -372,12 +366,9 @@ _FIG8_NOTE = (
 
 def _dataset_fig8() -> tuple[list[str], list[list]]:
     header = ["family", "N", "class", "eta", "vertex_conn", "edge_conn", "algebraic_conn"]
-    points = [
-        (spec, label) for spec, labels in _FIG8_INSTANCES for label in labels
-    ]
     rows = [
         [r.family, r.n, r.vertex_class, r.eta, r.vertex_conn, r.edge_conn, r.algebraic_conn]
-        for r in correlation_table(points)
+        for r in correlation_table(_FIG8_INSTANCES)
     ]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return header, rows
@@ -429,24 +420,30 @@ def _dataset_table1() -> tuple[list[str], list[list]]:
     return header, rows
 
 
+# dataset name -> (builder, description, note or None)
 _DATASETS = {
-    "fig3": (_dataset_fig3, "bipartite efficiency against graph order"),
-    "fig7": (_dataset_fig7, "simplex two-vertex superposition efficiencies"),
-    "fig8": (_dataset_fig8, "efficiency against connectivity measures"),
-    "table1": (_dataset_table1, "connectivity summary per family"),
+    "fig3": (
+        _dataset_fig3,
+        "bipartite efficiency against graph order",
+        "alpha grid and N range are reproduction defaults",
+    ),
+    "fig7": (
+        _dataset_fig7,
+        "simplex two-vertex superposition efficiencies",
+        "theta grid {0, pi/2, pi} is a reproduction default",
+    ),
+    "fig8": (_dataset_fig8, "efficiency against connectivity measures", _FIG8_NOTE),
+    "table1": (_dataset_table1, "connectivity summary per family", None),
 }
 
 
 def _cmd_sweep(args) -> int:
-    builder, description = _DATASETS[args.dataset]
+    builder, description, note = _DATASETS[args.dataset]
     header, rows = builder()
     meta = {"dataset": args.dataset, "description": description}
-    if args.dataset == "fig3":
-        meta["note"] = "alpha grid and N range are reproduction defaults"
-    if args.dataset == "fig7":
-        meta["note"] = "theta grid {0, pi/2, pi} is a reproduction default"
-    if args.dataset == "fig8":
-        meta["note"] = _FIG8_NOTE
+    if note is not None:
+        meta["note"] = note
+    if args.dataset == "fig8":  # the one dataset that omits an instance
         print(f"note: {_FIG8_NOTE}", file=sys.stderr)
     if args.format == "csv":
         buf = io.StringIO()

@@ -230,34 +230,16 @@ class CorrelationRow:
 
 
 def correlation_table(
-    instances: Sequence[tuple[FamilySpec, str]],
+    instances: Sequence[tuple[FamilySpec, Sequence[str]]],
 ) -> list[CorrelationRow]:
     """Transport efficiency of a class representative next to the instance's
-    connectivity measures, one row per (instance, class)."""
-    graphs: dict[FamilySpec, Graph] = {}
-    conn: dict[FamilySpec, tuple[int, int, float]] = {}
+    connectivity measures, one row per (instance, class) in input order;
+    each instance is built and measured once, for all of its labels."""
     rows = []
-    for spec, label in instances:
-        if spec not in graphs:
-            g = build(spec)
-            graphs[spec] = g
-            conn[spec] = (
-                vertex_connectivity(g),
-                edge_connectivity(g),
-                algebraic_connectivity(g),
-            )
-        g = graphs[spec]
-        v, e, a = conn[spec]
-        eta = efficiency_subspace(g, 0, Localized(class_representative(g, label)))
-        rows.append(
-            CorrelationRow(
-                family=family_name(spec),
-                n=g.n,
-                vertex_class=label,
-                eta=eta,
-                vertex_conn=v,
-                edge_conn=e,
-                algebraic_conn=a,
-            )
-        )
+    for spec, labels in instances:
+        g = build(spec)
+        v, e, a = vertex_connectivity(g), edge_connectivity(g), algebraic_connectivity(g)
+        for label in labels:
+            eta = efficiency_subspace(g, 0, Localized(class_representative(g, label)))
+            rows.append(CorrelationRow(family_name(spec), g.n, label, eta, v, e, a))
     return rows

@@ -33,7 +33,8 @@ class Graph:
     Entries must be integers. A self-loop, an index outside ``range(n)`` or
     a repeated edge raises ValueError naming the first offending edge in
     input order. ``classes``, when present, must assign a label to every
-    vertex.
+    vertex. ``adjacency`` (the dense 0/1 matrix) and ``degrees`` are
+    read-only arrays set at construction.
     """
 
     n: int
@@ -87,7 +88,7 @@ class Graph:
             raise ValueError(f"duplicate edge {(min(i, j), max(i, j))}")
         # with no repeats, the input is sorted iff its keys are
         in_order = oriented and np.count_nonzero(ranked == keys) == len(keys)
-        index = (ij if in_order else ij[order]).T
+        index = (ij if in_order else ij[order]).T  # (2, E), in the order of edges
         if not (
             in_order
             and type(self.edges) is tuple
@@ -95,23 +96,17 @@ class Graph:
             and set(map(type, edges)) <= {tuple}
         ):
             object.__setattr__(self, "edges", tuple(zip(*index.tolist())))
-        object.__setattr__(self, "_index", index)  # (2, E), in the order of edges
         if self.classes is not None:
             if set(self.classes) != set(range(n)):
                 raise ValueError("class map must assign a label to every vertex")
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        a[self._index, self._index[::-1]] = 1.0
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        d = self.adjacency.sum(axis=1)
-        d.setflags(write=False)
-        return d
+        # plain read-only attributes: a cached_property takes a lock on first
+        # access before Python 3.12
+        adjacency = np.zeros((n, n))
+        adjacency[index, index[::-1]] = 1.0
+        degrees = adjacency.sum(axis=1)
+        for name, array in (("adjacency", adjacency), ("degrees", degrees)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def class_vertices(self, label: str) -> tuple[int, ...]:
         if self.classes is None:
@@ -376,19 +371,6 @@ class SrgParams:
     k: int
     lam: int
     mu: int
-
-
-def srg_parameters(spec: FamilySpec) -> SrgParams | None:
-    """Closed-form SRG parameters for the families that have them."""
-    if isinstance(spec, PaleyPrime):
-        p = spec.p
-        return SrgParams(p, (p - 1) // 2, (p - 5) // 4, (p - 1) // 4)
-    if isinstance(spec, Petersen):
-        return SrgParams(10, 3, 0, 1)
-    if isinstance(spec, Rook):
-        n = spec.n
-        return SrgParams(n * n, 2 * (n - 1), n - 2, 2)
-    return None
 
 
 def validate_srg(g: Graph) -> SrgParams | None:

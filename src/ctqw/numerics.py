@@ -39,19 +39,22 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def sym_eig(a: np.ndarray, symmetry_tol: float = 1e-12) -> EigenSystem:
+_SYMMETRY_TOL = 1e-12
+
+
+def sym_eig(a: np.ndarray) -> EigenSystem:
     """Full spectrum of a real symmetric matrix (LAPACK ``eigh``).
 
     Values come in ascending order with orthonormal eigenvector columns.
     Raises ValueError if the input is not square, or not symmetric within
-    `symmetry_tol` (relative to the largest entry); the symmetric part is
-    what gets decomposed.
+    1e-12 relative to max(1, largest entry); the symmetric part is what
+    gets decomposed.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.T))) > symmetry_tol * scale:
+    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     values, vectors = np.linalg.eigh((a + a.T) / 2.0)
     return EigenSystem(values=values, vectors=vectors)
@@ -175,8 +178,8 @@ def evolve_trapped(
     w: int,
     kappa: float,
     psi0: np.ndarray,
-    dt: float = DEFAULT_DT,
-    t_max: float = 500.0,
+    dt: float,
+    t_max: float,
 ) -> TrappedEvolution:
     """Integrate the trapped walk with classical fixed-step RK4.
 

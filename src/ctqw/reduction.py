@@ -11,7 +11,9 @@ top-left entry only.
 Each family's closed forms sit in one :class:`ClosedForms` record from
 :data:`CLOSED_FORMS`: the analytic basis and reduced Hamiltonian (an
 independent reference for the iterative ones), the efficiencies and the
-Table-1 algebraic-connectivity formula.
+Table-1 algebraic-connectivity formula. All of them are stated over the
+vertex classes the builders label: a basis vector is a table of amplitudes
+by class, spread over the vertices of the built graph.
 
 Sign convention: every basis vector is flipped, when needed, so that its
 first nonzero component (lowest vertex index) is positive. This makes
@@ -41,7 +43,6 @@ from .graphs import (
     Simplex,
     build,
     laplacian,
-    srg_parameters,
 )
 from .numerics import orthonormalize_against
 
@@ -108,19 +109,9 @@ def krylov_basis(g: Graph, w: int = 0, tol: float = 1e-10) -> SubspaceBasis:
     return SubspaceBasis(np.asarray(vectors))
 
 
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """Walk Hamiltonian projected onto a subspace basis; ``matrix[0, 0]``
-    carries the -i*kappa trap term (the basis must start with |w>)."""
-
-    matrix: np.ndarray
-    kappa: float
-
-
-def reduced_hamiltonian(
-    basis: SubspaceBasis, g: Graph, kappa: float
-) -> ReducedHamiltonian:
-    """Project the trapped Hamiltonian L - i*kappa |w><w| onto `basis`."""
+def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndarray:
+    """Project the trapped Hamiltonian L - i*kappa |w><w| onto `basis`; entry
+    (0, 0) carries the -i*kappa trap term (the basis must start with |w>)."""
     if basis.ambient != g.n:
         raise ValueError(
             f"basis ambient dimension {basis.ambient} does not match graph order {g.n}"
@@ -129,7 +120,7 @@ def reduced_hamiltonian(
         raise ValueError("kappa must be non-negative")
     h = (basis.vectors @ laplacian(g) @ basis.vectors.T).astype(complex)
     h[0, 0] += -1j * kappa
-    return ReducedHamiltonian(matrix=h, kappa=kappa)
+    return h
 
 
 # --- closed-form references ------------------------------------------------------
@@ -138,13 +129,14 @@ def reduced_hamiltonian(
 @dataclass(frozen=True)
 class ClosedForms:
     """The paper's closed forms for one family instance; ``None`` or a
-    missing key marks one the instance lacks. ``basis`` builds the raw
-    (un-gauged) analytic basis as rows, on demand, since some families need
-    the graph; ``diag`` and ``off`` give the raw reduced Hamiltonian. Pair
-    efficiencies are functions of cos(theta), filed under either order of
-    two distinct labels; ``aliases`` renames a label before any lookup."""
+    missing key marks one the instance lacks. ``basis`` lists the raw
+    (un-gauged) analytic basis vectors, each a table of amplitudes by vertex
+    class (a class it omits has amplitude 0); ``diag`` and ``off`` give the
+    raw reduced Hamiltonian. Pair efficiencies are functions of cos(theta),
+    filed under either order of two distinct labels; ``aliases`` renames a
+    label before any lookup."""
 
-    basis: Callable[[], np.ndarray] | None = None
+    basis: list[dict[str, float]] | None = None
     diag: list[float] | None = None
     off: list[float] | None = None
     localized: dict[str, float] = field(default_factory=dict)
@@ -178,16 +170,8 @@ def _complete_bipartite(spec: CompleteBipartite) -> ClosedForms:
     table1 = float(min(n1, n2))
     if n1 < 2:  # no class b, and no third basis vector
         return ClosedForms(localized=localized, algebraic_connectivity=table1)
-
-    def basis() -> np.ndarray:
-        e = np.zeros((3, n))
-        e[0, 0] = 1.0
-        e[1, n1:] = 1.0 / math.sqrt(n2)
-        e[2, 1:n1] = 1.0 / math.sqrt(n1 - 1)
-        return e
-
     return ClosedForms(
-        basis=basis,
+        basis=[{"w": 1.0}, {"a": 1.0 / math.sqrt(n2)}, {"b": 1.0 / math.sqrt(n1 - 1)}],
         diag=[float(n2), float(n1), float(n2)],
         off=[-math.sqrt(n2), -math.sqrt(n2 * (n1 - 1))],
         localized={**localized, "b": 1.0 / (n1 - 1)},
@@ -196,18 +180,13 @@ def _complete_bipartite(spec: CompleteBipartite) -> ClosedForms:
     )
 
 
-def _strongly_regular(spec: FamilySpec, table1: float | None = None) -> ClosedForms:
-    params = srg_parameters(spec)
-    n, k, lam, mu = params.n, params.k, params.lam, params.mu
-
-    def basis() -> np.ndarray:
-        near = build(spec).adjacency[0]
-        far = np.where(near > 0, 0.0, 1.0) / math.sqrt(n - k - 1)
-        far[0] = 0.0
-        return np.array([np.eye(1, n)[0], near / math.sqrt(k), far])
-
+def _strongly_regular(
+    n: int, k: int, lam: int, mu: int, table1: float | None = None
+) -> ClosedForms:
+    """SRG(n, k, lam, mu): class ``a`` holds the k neighbors of the trap and
+    class ``b`` the n - k - 1 other vertices."""
     return ClosedForms(
-        basis=basis,
+        basis=[{"w": 1.0}, {"a": 1.0 / math.sqrt(k)}, {"b": 1.0 / math.sqrt(n - k - 1)}],
         diag=[float(k), float(k - lam), float(mu)],
         off=[-math.sqrt(k), -math.sqrt(mu * (k - lam - 1))],
         localized={"a": 1.0 / k, "b": 1.0 / (n - k - 1)},
@@ -220,23 +199,9 @@ def _joined_complete(spec: JoinedComplete) -> ClosedForms:
     h = spec.half
     n = 2 * h
     d = n * (n - 4) + 2
-
-    def basis() -> np.ndarray:
-        a, b1, b2, c = slice(1, h - 1), h - 1, h, slice(h + 1, n)
-        e = np.zeros((4, n))
-        e[0, 0] = 1.0
-        e[1, a] = e[1, b1] = 1.0
-        e[1] /= math.sqrt(h - 1)
-        e[2, a] = 1.0
-        e[2, b1] = -(h - 2)
-        e[2, b2] = h - 1
-        e[2] /= math.sqrt((n - 3) * (h - 1))
-        e[3, a] = 1.0
-        e[3, b1] = e[3, b2] = -(h - 2)
-        e[3, c] = -(n - 3)
-        e[3] /= math.sqrt((n - 3) * (n * (h - 2) + 1))
-        return e
-
+    s1 = math.sqrt(h - 1)
+    s2 = math.sqrt((n - 3) * (h - 1))
+    s3 = math.sqrt((n - 3) * (n * (h - 2) + 1))
     localized = {"b1": 0.5 + (n - 3) / d, "b2": 0.5 + (n - 3) / d, "c": 2.0 * (n - 3) / d}
     pairs = {("b1", "b2"): lambda cos: ((n - 2) * (n - (n - 4) * cos) - 4) / (2.0 * d)}
     for b in ("b1", "b2"):  # the two bridge vertices pair alike with c, and with a
@@ -247,7 +212,12 @@ def _joined_complete(spec: JoinedComplete) -> ClosedForms:
         for b in ("b1", "b2"):
             pairs["a", b] = lambda cos: (n - 2) * (n + 4 * (1 + cos)) / (4.0 * d)
     return ClosedForms(
-        basis=basis,
+        basis=[
+            {"w": 1.0},
+            {"a": 1.0 / s1, "b1": 1.0 / s1},
+            {"a": 1.0 / s2, "b1": -(h - 2) / s2, "b2": (h - 1) / s2},
+            {"a": 1.0 / s3, "b1": -(h - 2) / s3, "b2": -(h - 2) / s3, "c": -(n - 3) / s3},
+        ],
         diag=[
             float(h - 1),
             n / (n - 2),
@@ -274,25 +244,22 @@ def _simplex(spec: Simplex) -> ClosedForms:
     den = 2.0 * m * m * (m - 1)  # denominators shared by the pair formulas
     den2 = den * (m - 2)
 
-    def basis() -> np.ndarray:
-        g = build(spec)
-        classes = np.array([g.classes[v] for v in range(g.n)])
-        sel = {c: (classes == c).astype(float) for c in "abcdef"}
-        ab = sel["a"] - (m - 1) * sel["b"]
-        cd = sel["c"] + sel["d"]
-        ve, vf = sel["e"], sel["f"]
-        e2 = (sel["a"] + sel["b"]) / math.sqrt(m)
-        e3 = ((m - 2) / m * ab + cd) * (math.sqrt(m) / math.sqrt((m - 1) * q))
-        e4 = (2 * (m - 2) / q * ab - (m - 2) ** 2 / q * cd - 2 * ve - vf) * (
-            math.sqrt(q) / math.sqrt((m - 1) * r)
-        )
-        e5 = (
-            -4 * (m - 2) * ab + 2 * (m - 2) ** 2 * cd - m * m * (m - 2) * ve + 2 * q * vf
-        ) / (m * math.sqrt((m - 1) * (m - 2) * r))
-        return np.array([np.eye(1, g.n)[0], e2, e3, e4, e5])
+    def row(ab: float, cd: float, e: float, f: float, scale: float) -> dict[str, float]:
+        # scale * (ab (|a> - (m-1) |b>) + cd (|c> + |d>) + e |e> + f |f>), where
+        # |x> is the indicator vector of class x
+        ab, cd = ab * scale, cd * scale
+        return {"a": ab, "b": -(m - 1) * ab, "c": cd, "d": cd, "e": e * scale, "f": f * scale}
 
     return ClosedForms(
-        basis=basis,
+        basis=[
+            {"w": 1.0},
+            {"a": 1.0 / math.sqrt(m), "b": 1.0 / math.sqrt(m)},
+            row((m - 2) / m, 1.0, 0.0, 0.0, math.sqrt(m) / math.sqrt((m - 1) * q)),
+            row(2 * (m - 2) / q, -((m - 2) ** 2) / q, -2.0, -1.0,
+                math.sqrt(q) / math.sqrt((m - 1) * r)),
+            row(-4 * (m - 2), 2 * (m - 2) ** 2, -m * m * (m - 2), 2 * q,
+                1.0 / (m * math.sqrt((m - 1) * (m - 2) * r))),
+        ],
         diag=[
             float(m),
             (3 * m - 2) / m,
@@ -332,13 +299,16 @@ def _simplex(spec: Simplex) -> ClosedForms:
     )
 
 
-# Spec class -> its closed forms: the one place each family's formulas live.
+# Spec class -> its closed forms: the one place each family's formulas live,
+# the SRG parameters (n, k, lam, mu) among them.
 CLOSED_FORMS: dict[type, Callable[..., ClosedForms]] = {
     Complete: _complete,
     CompleteBipartite: _complete_bipartite,
-    PaleyPrime: lambda spec: _strongly_regular(spec, (spec.p - math.sqrt(spec.p)) / 2.0),
-    Petersen: _strongly_regular,
-    Rook: _strongly_regular,
+    PaleyPrime: lambda s: _strongly_regular(
+        s.p, (s.p - 1) // 2, (s.p - 5) // 4, (s.p - 1) // 4, (s.p - math.sqrt(s.p)) / 2.0
+    ),
+    Petersen: lambda s: _strongly_regular(10, 3, 0, 1),
+    Rook: lambda s: _strongly_regular(s.n * s.n, 2 * (s.n - 1), s.n - 2, 2),
     JoinedComplete: _joined_complete,
     Simplex: _simplex,
 }
@@ -350,12 +320,21 @@ def closed_forms(spec: FamilySpec) -> ClosedForms:
     return ClosedForms() if entry is None else entry(spec)
 
 
-def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
-    """Analytic invariant-subspace basis, gauged by the sign convention."""
+def _analytic_basis(spec: FamilySpec, what: str) -> tuple[ClosedForms, np.ndarray]:
+    """The closed forms of `spec` and its raw analytic basis: the amplitude
+    rows spread over the vertices of ``build(spec)`` by class label."""
     forms = closed_forms(spec)
     if forms.basis is None:
-        raise UnsupportedFamilyError(f"no closed-form basis for {spec!r}")
-    return SubspaceBasis(np.asarray([_sign(v) * v for v in forms.basis()]))
+        raise UnsupportedFamilyError(f"no closed-form {what} for {spec!r}")
+    classes = build(spec).classes
+    labels = [classes[v] for v in range(len(classes))]
+    return forms, np.array([[row.get(c, 0.0) for c in labels] for row in forms.basis])
+
+
+def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
+    """Analytic invariant-subspace basis, gauged by the sign convention."""
+    _, vectors = _analytic_basis(spec, "basis")
+    return SubspaceBasis(np.asarray([_sign(v) * v for v in vectors]))
 
 
 def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarray:
@@ -366,10 +345,8 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    forms = closed_forms(spec)
-    if forms.basis is None:
-        raise UnsupportedFamilyError(f"no closed-form reduced Hamiltonian for {spec!r}")
-    signs = [_sign(v) for v in forms.basis()]
+    forms, vectors = _analytic_basis(spec, "reduced Hamiltonian")
+    signs = [_sign(v) for v in vectors]
     h = np.diag(np.asarray(forms.diag, dtype=complex))
     for i, x in enumerate(forms.off):
         h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]

@@ -125,22 +125,23 @@ def efficiency_subspace(
     return basis.overlap(_as_vector(psi0, g.n))
 
 
-def lambda_subspace(
-    g: Graph, w: int = 0, degeneracy_tol: float = 1e-8
-) -> SubspaceBasis:
+_DEGENERACY_TOL = 1e-8
+
+
+def lambda_subspace(g: Graph, w: int = 0) -> SubspaceBasis:
     """Span of the Laplacian eigenvectors with nonzero trap overlap.
 
-    Eigenvalues are grouped when equal within `degeneracy_tol` (relative to
-    the spectral range); from each group the normalized projection of |w>
-    is kept whenever its norm exceeds `degeneracy_tol`. The remainder of a
-    degenerate eigenspace is orthogonal to |w> by construction, so one
-    vector per group suffices.
+    Eigenvalues are grouped when equal within 1e-8 relative to max(1,
+    spectral range); from each group the normalized projection of |w> is
+    kept whenever its norm exceeds 1e-8. The remainder of a degenerate
+    eigenspace is orthogonal to |w> by construction, so one vector per
+    group suffices.
     """
     if not 0 <= w < g.n:
         raise ValueError(f"vertex {w} out of range")
     es = sym_eig(laplacian(g))
     spread = float(es.values[-1] - es.values[0])
-    gap_tol = degeneracy_tol * max(1.0, spread)
+    gap_tol = _DEGENERACY_TOL * max(1.0, spread)
     collected = []
     start = 0
     for stop in range(1, g.n + 1):
@@ -149,21 +150,16 @@ def lambda_subspace(
         block = es.vectors[:, start:stop]
         amps = block[w, :]
         weight = float(np.linalg.norm(amps))
-        if weight > degeneracy_tol:
+        if weight > _DEGENERACY_TOL:
             v = block @ (amps / weight)
             collected.append(_sign(v) * v)
         start = stop
     return SubspaceBasis(np.asarray(collected))
 
 
-def efficiency_lambda(
-    g: Graph,
-    w: int,
-    psi0: InitialState | np.ndarray,
-    degeneracy_tol: float = 1e-8,
-) -> float:
+def efficiency_lambda(g: Graph, w: int, psi0: InitialState | np.ndarray) -> float:
     """Overlap of the initial state with the trap-visible eigenvector span."""
-    basis = lambda_subspace(g, w, degeneracy_tol)
+    basis = lambda_subspace(g, w)
     return basis.overlap(_as_vector(psi0, g.n))
 
 

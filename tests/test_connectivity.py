@@ -374,13 +374,13 @@ def test_zero_eigenvalue_multiplicity_counts_components():
 
 
 def test_correlation_table_srg_rows():
-    rows = correlation_table([(PaleyPrime(13), "a"), (PaleyPrime(13), "b")])
+    rows = correlation_table([(PaleyPrime(13), ("a", "b"))])
     assert all(r.eta == pytest.approx(1 / 6, abs=1e-12) for r in rows)
     assert all(r.vertex_conn == r.edge_conn == 6 for r in rows)
 
 
 def test_correlation_table_complete_rows():
-    rows = correlation_table([(Complete(n), "a") for n in (6, 8, 10, 12)])
+    rows = correlation_table([(Complete(n), ("a",)) for n in (6, 8, 10, 12)])
     for row, n in zip(rows, (6, 8, 10, 12)):
         assert row.eta == pytest.approx(1 / (n - 1), abs=1e-12)
         assert row.vertex_conn == row.edge_conn == n - 1
@@ -389,7 +389,7 @@ def test_correlation_table_complete_rows():
 
 def test_correlation_table_simplex_rows():
     labels = ("a", "b", "cd", "e", "f")
-    rows = correlation_table([(Simplex(3), label) for label in labels])
+    rows = correlation_table([(Simplex(3), labels)])
     expected = {"a": 7 / 18, "b": 5 / 9, "cd": 2 / 9, "e": 1 / 2, "f": 7 / 18}
     for row in rows:
         assert row.eta == pytest.approx(expected[row.vertex_class], abs=1e-12)

@@ -166,19 +166,19 @@ def test_evolve_rejects_bad_parameters():
     l = laplacian(build_complete(3))
     good = np.array([1.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 0, 1.0, good, dt=0.0)
+        evolve_trapped(l, 0, 1.0, good, dt=0.0, t_max=1.0)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 0, 1.0, good, t_max=-1.0)
+        evolve_trapped(l, 0, 1.0, good, dt=1e-3, t_max=-1.0)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 5, 1.0, good)
+        evolve_trapped(l, 5, 1.0, good, dt=1e-3, t_max=1.0)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 0, -1.0, good)
+        evolve_trapped(l, 0, -1.0, good, dt=1e-3, t_max=1.0)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 0, 1.0, 2.0 * good)
+        evolve_trapped(l, 0, 1.0, 2.0 * good, dt=1e-3, t_max=1.0)
     with pytest.raises(ValueError):
-        evolve_trapped(l, 0, 1.0, good, t_max=math.inf)
+        evolve_trapped(l, 0, 1.0, good, dt=1e-3, t_max=math.inf)
     with pytest.raises(UnstableStepError):
-        evolve_trapped(l, 0, 1.0, good, dt=2.0)
+        evolve_trapped(l, 0, 1.0, good, dt=2.0, t_max=10.0)
 
 
 def _localized(n: int, v: int) -> np.ndarray:
@@ -195,9 +195,10 @@ EVOLVE_CASES = [
     # 7777 = 259 strides of 30 and a last block of 7
     ("nsteps not a stride multiple", laplacian(build_petersen()), 0.7, 3,
      dict(dt=1e-3, t_max=7.777)),
-    # 265000 = 256 strides of 1035 (over the 1024 steps of the id) and 40
-    ("stride above the block cap", laplacian(build_petersen()), 0.7, 3,
-     dict(dt=1e-4, t_max=26.5)),
+    # 33576 = 256 strides of 131 and a last block of 40; 131 = 0b10000011,
+    # so the doubling takes a run of zero bits, then two set bits
+    ("stride with zero bits", laplacian(build_petersen()), 0.7, 3,
+     dict(dt=1e-4, t_max=3.3576)),
 ]
 
 

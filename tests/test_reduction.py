@@ -39,12 +39,21 @@ CLOSED_FORM_SPECS = [
     Simplex(4),
     Simplex(5),
     Simplex(6),
-    # larger orders, up to N = 60
+    # larger orders, up to N = 90
     CompleteBipartite(30, 30),
     PaleyPrime(29),
     Rook(4),
     JoinedComplete(15),
     Simplex(7),
+    PaleyPrime(61),
+    Rook(7),
+    JoinedComplete(20),
+    Simplex(8),
+    Simplex(9),
+    # the smallest instance of each shape: a path, two cycles
+    CompleteBipartite(2, 1),
+    PaleyPrime(5),
+    Rook(2),
 ]
 
 
@@ -114,7 +123,7 @@ def test_basis_closure_under_laplacian():
 
 def test_reduced_cbg_8_4_matches_analytic_entries():
     spec = CompleteBipartite(8, 4)
-    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0).matrix
+    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0)
     expected = np.array(
         [
             [4.0 - 1.0j, -2.0, 0.0],
@@ -128,7 +137,7 @@ def test_reduced_cbg_8_4_matches_analytic_entries():
 
 def test_reduced_petersen_matches_analytic_entries():
     spec = Petersen()
-    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0).matrix
+    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0)
     expected = np.array(
         [
             [3.0 - 1.0j, -math.sqrt(3.0), 0.0],
@@ -142,7 +151,7 @@ def test_reduced_petersen_matches_analytic_entries():
 
 def test_reduced_jcg_12_matches_analytic_entries():
     g = build(JoinedComplete(6))
-    h = reduced_hamiltonian(krylov_basis(g), g, 1.0).matrix
+    h = reduced_hamiltonian(krylov_basis(g), g, 1.0)
     expected = np.array(
         [
             [5.0 - 1.0j, -math.sqrt(5.0), 0.0, 0.0],
@@ -159,7 +168,7 @@ def test_reduced_simplex_3_diagonal():
     # diagonal derived two ways: numerically from the 12x12 Laplacian, and
     # by substituting m=3 into the analytic entry formulas
     g = build(Simplex(3))
-    h = reduced_hamiltonian(krylov_basis(g), g, 0.0).matrix
+    h = reduced_hamiltonian(krylov_basis(g), g, 0.0)
     expected_diag = [3.0, 7.0 / 3.0, 59.0 / 21.0, 453.0 / 259.0, 115.0 / 37.0]
     assert np.max(np.abs(np.diag(h) - expected_diag)) <= 1e-9
     assert np.max(np.abs(h.imag)) <= 1e-12
@@ -169,7 +178,7 @@ def test_reduced_simplex_3_diagonal():
 def test_reduced_hamiltonian_shape_invariants(spec):
     g = build(spec)
     basis = krylov_basis(g)
-    h = reduced_hamiltonian(basis, g, 1.5).matrix
+    h = reduced_hamiltonian(basis, g, 1.5)
     m = basis.m
     for i in range(m):
         for j in range(m):
@@ -185,7 +194,7 @@ def test_reduced_hamiltonian_shape_invariants(spec):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=str)
 def test_reduced_spectrum_embeds_in_laplacian_spectrum(spec):
     g = build(spec)
-    h = reduced_hamiltonian(krylov_basis(g), g, 0.0).matrix.real
+    h = reduced_hamiltonian(krylov_basis(g), g, 0.0).real
     reduced_vals = np.linalg.eigvalsh(h)
     full_vals = np.linalg.eigvalsh(laplacian(g))
     for lam in reduced_vals:
@@ -204,7 +213,7 @@ def test_closed_form_basis_matches_iterative(spec):
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=str)
 def test_closed_form_reduced_matches_iterative(spec):
     g = build(spec)
-    numeric = reduced_hamiltonian(krylov_basis(g), g, 1.0).matrix
+    numeric = reduced_hamiltonian(krylov_basis(g), g, 1.0)
     analytic = closed_form_reduced_hamiltonian(spec, 1.0)
     assert np.max(np.abs(numeric - analytic)) <= 1e-9
 
