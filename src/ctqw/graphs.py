@@ -287,6 +287,12 @@ def build_joined_complete(half: int) -> Graph:
     return Graph(n, tuple(edges), classes)
 
 
+# Merged class labels, each naming the union of classes that share every
+# transport property: the simplex's ``c`` and ``d``. Vertex lookups and the
+# closed-form records both read this table.
+MERGED_CLASSES: dict[str, tuple[str, ...]] = {"cd": ("c", "d")}
+
+
 def build_simplex(m: int) -> Graph:
     """First-order truncated m-simplex lattice: m+1 copies of K_m, each vertex
     carrying exactly one inter-block edge.

@@ -2,8 +2,9 @@
 
 Five primitives back everything else in the package:
 
-* :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix
-  (LAPACK ``eigh``, ascending values, orthonormal vectors);
+* :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix,
+  or of a stack of them (LAPACK ``eigh``, ascending values, orthonormal
+  vectors);
 * :func:`orthonormalize_against` -- tolerance-aware Gram-Schmidt step used
   by the invariant-subspace construction;
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
@@ -11,10 +12,11 @@ Five primitives back everything else in the package:
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
   with its Euler-Maclaurin end term. A run takes every step up to t_max
   and keeps 256 samples. The equation is linear, so one RK4 step is one
-  precomputed matrix P, and the flux summed over the steps between two
-  samples is one quadratic form built by binary doubling; a step size
-  outside the RK4 stability region, or one that needs more than 2^40
-  steps, is rejected;
+  precomputed matrix P: one loop propagates the state from sample to
+  sample with the matrix P^b - I, and one batched pass after it evaluates
+  the flux summed over each sample interval as a quadratic form, both
+  matrices built by binary doubling; a step size outside the RK4 stability
+  region, or one that needs more than 2^40 steps, is rejected;
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
   and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
@@ -43,20 +45,23 @@ _SYMMETRY_TOL = 1e-12
 
 
 def sym_eig(a: np.ndarray) -> EigenSystem:
-    """Full spectrum of a real symmetric matrix (LAPACK ``eigh``).
+    """Full spectrum of a real symmetric matrix, or of each matrix in a stack
+    of shape (..., n, n), in one LAPACK ``eigh`` call.
 
-    Values come in ascending order with orthonormal eigenvector columns.
-    Raises ValueError if the input is not square, or not symmetric within
-    1e-12 relative to max(1, largest entry); the symmetric part is what
-    gets decomposed.
+    Values come in ascending order with orthonormal eigenvector columns;
+    for a stack, ``values[k]`` and ``vectors[k]`` belong to ``a[k]``.
+    Raises ValueError if the input is not square, or if any matrix is not
+    symmetric within 1e-12 relative to max(1, its largest entry); the
+    symmetric part is what gets decomposed.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
+    at = np.swapaxes(a, -1, -2)
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    if np.any(np.abs(a - at).max(axis=(-2, -1), initial=0.0) > _SYMMETRY_TOL * scale):
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    values, vectors = np.linalg.eigh((a + at) / 2.0)
     return EigenSystem(values=values, vectors=vectors)
 
 
@@ -194,11 +199,16 @@ def evolve_trapped(
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
     which equals the four-stage update exactly. With Q = 2*kappa |w><w|, the
     flux summed over the b steps of one sample interval is psi^H S_b psi,
-    where S_b = sum_{j<b} (P^j)^H Q P^j; the pair (P^b, S_b) is built once
-    per interval length by binary doubling, so each interval costs O(n^2)
-    whatever its step count. Raises UnstableStepError when the spectral
-    radius of P exceeds 1 + 1e-12, that is when `dt` lies outside the RK4
-    stability region, or when t_max / dt exceeds 2^40 steps.
+    where S_b = sum_{j<b} (P^j)^H Q P^j, psi being the state at the start
+    of the interval. The pair (P^b - I, S_b) is built by binary doubling
+    before the run, once for the stride and once for a shorter last
+    interval. One loop then propagates the state over the intervals, one
+    matrix-vector product each, and a single batched pass over the stacked
+    samples evaluates every interval's quadratic form, so the run costs
+    O(n^2) per sample whatever the step count. Raises UnstableStepError
+    when the spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies
+    outside the RK4 stability region, or when t_max / dt exceeds 2^40
+    steps.
 
     There is no early stop: the run takes all nsteps = round(t_max / dt)
     steps. Samples are taken every ``max(1, nsteps // 256)`` steps and at
@@ -234,27 +244,28 @@ def evolve_trapped(
 
     nsteps = int(round(t_max / dt))
     stride = max(1, nsteps // _SAMPLES)
+    full, rest = divmod(nsteps, stride)
     q = np.zeros_like(z)
     q[w, w] = 2.0 * kappa
-    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    jump, flux_sum = _flux_pair(delta, q, stride)
 
-    times = [0.0]
     states = [psi]
-    sums = [0.0]  # flux summed over the steps of each sample interval
-    done = 0
-
-    while done < nsteps:
-        b = min(stride, nsteps - done)
-        if b not in pairs:
-            pairs[b] = _flux_pair(delta, q, b)
-        jump, flux_sum = pairs[b]
-        sums.append(float(np.vdot(psi, flux_sum @ psi).real))
+    for _ in range(full):
         psi = psi + jump @ psi
-        done += b
-        times.append(done * dt)
         states.append(psi)
-
+    if rest:
+        rest_jump, rest_sum = _flux_pair(delta, q, rest)
+        psi = psi + rest_jump @ psi
+        states.append(psi)
     samples = np.asarray(states)
+    times = dt * np.minimum(stride * np.arange(len(states)), nsteps)
+
+    # flux summed over the steps of each sample interval, psi_k^H S_b psi_k
+    sums = np.zeros(len(states))
+    head = samples[:full]
+    sums[1 : full + 1] = np.einsum("ij,ij->i", head.conj(), head @ flux_sum.T).real
+    if rest:
+        sums[-1] = np.vdot(samples[full], rest_sum @ samples[full]).real
     flux = 2.0 * kappa * np.abs(samples[:, w]) ** 2
     slope = 4.0 * kappa * (samples[:, w].conj() * (samples @ z[w])).real  # dt * f'
     # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{k-1} + f_k/2), plus the
@@ -265,8 +276,8 @@ def evolve_trapped(
     return TrappedEvolution(
         psi=psi,
         absorbed=float(absorbed_at[-1]),
-        t_final=done * dt,
-        times=np.asarray(times),
+        t_final=nsteps * dt,
+        times=times,
         norm_sq=np.linalg.norm(samples, axis=1) ** 2,
         absorbed_at=absorbed_at,
     )

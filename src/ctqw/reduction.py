@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import (
+    MERGED_CLASSES,
     Complete,
     CompleteBipartite,
     FamilySpec,
@@ -294,7 +295,7 @@ def _simplex(spec: Simplex) -> ClosedForms:
             ("e", "f"): lambda cos: 1.0 / (m * m) + 1.0 / m - 1.0 / (m - 1)
             + 1.0 / (2.0 * (m - 2)),
         },
-        aliases={"c": "cd", "d": "cd"},  # c and d share every transport property
+        aliases={part: label for label, parts in MERGED_CLASSES.items() for part in parts},
         algebraic_connectivity=1.0,
     )
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Union
 
 import numpy as np
 
-from .graphs import FamilySpec, Graph, laplacian
+from .graphs import MERGED_CLASSES, FamilySpec, Graph, laplacian
 from .numerics import decay_horizon, evolve_trapped, rk4_step, sym_eig
 from .reduction import SubspaceBasis, _sign, closed_forms, krylov_basis
 
@@ -91,10 +91,12 @@ def initial_state_vector(state: InitialState, n: int) -> np.ndarray:
 
 
 def class_vertices(g: Graph, label: str) -> tuple[int, ...]:
-    """Vertices carrying a class label; ``"cd"`` merges the two simplex
-    classes that share all transport properties, on a graph that has both."""
-    if label == "cd" and (c := g.class_vertices("c")) and (d := g.class_vertices("d")):
-        vs = tuple(sorted(c + d))
+    """Vertices carrying a class label. A label of
+    :data:`~ctqw.graphs.MERGED_CLASSES` (simplex ``cd``) names the union of
+    its classes, on a graph that has every one of them."""
+    parts = [g.class_vertices(part) for part in MERGED_CLASSES.get(label, ())]
+    if parts and all(parts):
+        vs = tuple(sorted(v for part in parts for v in part))
     else:
         vs = g.class_vertices(label)
     if not vs:
@@ -181,26 +183,11 @@ def efficiency_dynamic(
     return ev.absorbed, 1.0 - survival
 
 
-SuperpositionMode = Literal["same-overlap", "disjoint-overlap"]
-
-
-def superposition_rule(
-    eta1: float, eta2: float, mode: SuperpositionMode, theta: float
-) -> float:
-    """Combine localized efficiencies into a two-vertex superposition one.
-
-    "same-overlap" applies when both vertices have identical overlap with
-    every basis vector (requires eta1 == eta2): eta_s = (1 + cos theta) * eta.
-    "disjoint-overlap" applies when they overlap disjoint sets of basis
-    vectors: eta_s = (eta1 + eta2) / 2, independent of theta.
-    """
-    if mode == "same-overlap":
-        if abs(eta1 - eta2) > 1e-12:
-            raise ValueError("same-overlap rule requires eta1 == eta2")
-        return (1.0 + math.cos(theta)) * eta1
-    if mode == "disjoint-overlap":
-        return 0.5 * (eta1 + eta2)
-    raise ValueError(f"unknown mode {mode!r}")
+def superposition_rule(eta: float, theta: float) -> float:
+    """Efficiency (1 + cos theta) * eta of (|v1> + e^{i theta} |v2>) / sqrt(2)
+    for two vertices that overlap every basis vector alike, each of
+    localized efficiency `eta`."""
+    return (1.0 + math.cos(theta)) * eta
 
 
 def efficiency_closed_form(
@@ -213,7 +200,7 @@ def efficiency_closed_form(
     superposition (|v1> + e^{i theta} |v2>) / sqrt(2) of representatives of
     two distinct classes. Raises UnsupportedCaseError for uncovered
     combinations, among them two labels of one class, which
-    :func:`efficiency_report` covers by the same-overlap rule."""
+    :func:`efficiency_report` covers by :func:`superposition_rule`."""
     eta = closed_forms(spec).efficiency(class1, class2, theta)
     if eta is None:
         classes = ", ".join(repr(c) for c in (class1, class2) if c is not None)
@@ -256,12 +243,12 @@ def efficiency_report(
     each vertex of a :class:`Localized` or :class:`Superposition` state
     from ``g`` and uses the state's own theta; an :class:`Explicit` state
     has none. Two vertices of one class (simplex ``c`` and ``d`` count as
-    one) take :func:`superposition_rule`'s same-overlap rule. The rule
-    lives here, not in :class:`~ctqw.reduction.ClosedForms`: only here are
-    both vertices known to exist, and the record does not know class sizes,
-    so it would price a pair from a one-vertex class (2*29/49 > 1 for
-    JoinedComplete(6) ``b1``). With ``oracle=True`` the eigenvector route
-    and the dynamical integration (:func:`efficiency_dynamic`) run as well.
+    one) take :func:`superposition_rule`. The rule lives here, not in
+    :class:`~ctqw.reduction.ClosedForms`: only here are both vertices known
+    to exist, and the record does not know class sizes, so it would price
+    a pair from a one-vertex class (2*29/49 > 1 for JoinedComplete(6)
+    ``b1``). With ``oracle=True`` the eigenvector route and the dynamical
+    integration (:func:`efficiency_dynamic`) run as well.
     """
     basis = krylov_basis(g, 0, tol)
     psi = initial_state_vector(psi0, g.n)
@@ -277,7 +264,7 @@ def efficiency_report(
             eta_cf = forms.efficiency(class1, class2, psi0.theta)
         elif (eta := forms.efficiency(class1)) is not None:
             # vertices of one class overlap every basis vector alike
-            eta_cf = superposition_rule(eta, eta, "same-overlap", psi0.theta)
+            eta_cf = superposition_rule(eta, psi0.theta)
 
     eta_lam = eta_dyn = eta_sur = None
     if oracle:
@@ -301,7 +288,6 @@ __all__ = [
     "InitialState",
     "Localized",
     "Superposition",
-    "SuperpositionMode",
     "UnsupportedCaseError",
     "class_representative",
     "class_uniform_state",

@@ -31,6 +31,13 @@ _GOLDEN_GRAPHS = {
     "graph-cbg-22-12.json": ["cbg", "--n1", "22", "--n2", "12"],
 }
 
+# The dynamic routes: the longest horizon and the largest graph of the
+# benchmark's oracle panel.
+_GOLDEN_ORACLE = {
+    "jcg-6-b1": ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
+    "rook-4-b": ["rook", "--n", "4", "--state", "class:b", "--kappa", "0.9"],
+}
+
 GOLDEN_CASES = (
     [
         (f"sweep-{dataset}.{fmt}", ["sweep", dataset, "--format", fmt])
@@ -46,6 +53,10 @@ GOLDEN_CASES = (
         )
         for fam, size in _GOLDEN_INSTANCES.items()
         for state in ("class:a", "vertex:1", "uniform:a")
+    ]
+    + [
+        (f"efficiency-{name}-oracle.json", ["efficiency", *argv, "--oracle"])
+        for name, argv in _GOLDEN_ORACLE.items()
     ]
 )
 

@@ -61,10 +61,35 @@ def test_sym_eig_reconstruction_and_orthogonality(n):
 
 
 def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="square"):
         sym_eig(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        sym_eig(np.zeros(3))
+
+
+def test_sym_eig_stack_matches_one_call_per_matrix():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 3, 5, 5))
+    stack = a + np.swapaxes(a, -1, -2)
+    es = sym_eig(stack)
+    assert es.values.shape == (2, 3, 5) and es.vectors.shape == (2, 3, 5, 5)
+    for idx in np.ndindex(2, 3):
+        one = sym_eig(stack[idx])
+        assert np.allclose(es.values[idx], one.values, atol=1e-12)
+        recon = es.vectors[idx] @ np.diag(es.values[idx]) @ es.vectors[idx].T
+        assert np.allclose(recon, stack[idx], atol=1e-12)
+
+
+def test_sym_eig_stack_takes_the_scale_per_matrix():
+    # an asymmetry of 1e-9 passes beside entries of 1e4 (tolerance 1e-8)
+    # but not in a unit matrix (tolerance 1e-12), whatever else the stack holds
+    big = np.array([[1e4, 1.0], [1.0 + 1e-9, 1e4]])
+    small = np.array([[1.0, 0.0], [1e-9, 1.0]])
+    sym_eig(np.stack([big, np.eye(2)]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(np.stack([big, small]))
 
 
 def test_sym_eig_matches_quadratic_roots_exhaustively():
@@ -81,7 +106,7 @@ def test_sym_eig_matches_cubic_roots_exhaustively():
     upper = np.array(list(itertools.product(range(-3, 4), repeat=6)), dtype=float)
     stack = upper[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
     want = symmetric_3x3_eigenvalues(stack)
-    got = np.array([sym_eig(m).values for m in stack])
+    got = sym_eig(stack).values
     err = np.max(np.abs(got - want), axis=1)
     assert np.max(err) <= 1e-9, stack[np.argmax(err)]
 

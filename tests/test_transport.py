@@ -90,17 +90,9 @@ def test_closed_form_uncovered_combinations():
 
 
 def test_superposition_rule():
-    assert superposition_rule(0.2, 0.2, "same-overlap", math.pi) == pytest.approx(0.0)
-    assert superposition_rule(1 / 7, 1 / 4, "disjoint-overlap", 0.0) == pytest.approx(
-        11 / 56
-    )
-    assert superposition_rule(1 / 3, 1 / 6, "disjoint-overlap", 0.7) == pytest.approx(
-        1 / 4
-    )
-    with pytest.raises(ValueError):
-        superposition_rule(0.2, 0.3, "same-overlap", 0.0)
-    with pytest.raises(ValueError):
-        superposition_rule(0.2, 0.2, "whatever", 0.0)
+    assert superposition_rule(0.2, math.pi) == pytest.approx(0.0)
+    assert superposition_rule(0.2, 0.0) == pytest.approx(0.4)
+    assert superposition_rule(0.2, math.pi / 2) == pytest.approx(0.2)
 
 
 def test_lambda_subspace_complete_graph():
@@ -272,6 +264,37 @@ def test_efficiency_report_routes_agree():
     assert report.eta_lambda == pytest.approx(1 / 3, abs=1e-9)
     assert report.eta_dynamic == pytest.approx(1 / 3, abs=1e-2)
     assert report.eta_survival == pytest.approx(1 / 3, abs=1e-2)
+
+
+# The benchmark's oracle panel, one paper-scale instance per family.
+_ORACLE_PANEL = (
+    Complete(8),
+    CompleteBipartite(5, 4),
+    PaleyPrime(13),
+    Petersen(),
+    Rook(4),
+    JoinedComplete(6),
+    Simplex(3),
+)
+_PANEL_CLASSES = [
+    (spec, label)
+    for spec in _ORACLE_PANEL
+    for label in sorted(set(build(spec).classes.values()))
+]
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.3, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize(
+    "spec, label", _PANEL_CLASSES, ids=[f"{spec!r}-{label}" for spec, label in _PANEL_CLASSES]
+)
+def test_oracle_within_readme_bound_on_the_panel(spec, label, kappa):
+    # README: on the paper-scale graphs both dynamic routes land within
+    # 1.1e-8 of the subspace route, the trap's own state included
+    g = build(spec)
+    state = Localized(class_representative(g, label))
+    report = efficiency_report(spec, g, state, kappa=kappa, oracle=True)
+    assert abs(report.eta_dynamic - report.eta_subspace) <= 1.1e-8
+    assert abs(report.eta_survival - report.eta_subspace) <= 1.1e-8
 
 
 def test_efficiency_report_uncovered_closed_form_is_none():
