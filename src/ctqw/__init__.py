@@ -58,6 +58,7 @@ from .reduction import (
     subspace_equal,
 )
 from .transport import (
+    ROUTE_TOLERANCES,
     EfficiencyReport,
     Explicit,
     InitialState,

@@ -6,7 +6,8 @@ state), ``sweep`` (emit the named reference datasets as CSV or JSON).
 
 Output is deterministic: rows are sorted and every number is printed with
 12 significant digits. The environment variable CTQW_TOL overrides the
-linear-dependence tolerance of the subspace construction.
+linear-dependence tolerance of the subspace construction in ``efficiency``;
+the other commands ignore it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ from .transport import (
     efficiency_closed_form,
     efficiency_report,
 )
-
-_CLOSED_FORM_TOL = 1e-9
-_LAMBDA_TOL = 1e-9
-_DYNAMIC_TOL = 1e-6
 
 
 def _fmt(x) -> str:
@@ -268,33 +265,11 @@ def _cmd_efficiency(args) -> int:
         "theta": _jnum(args.theta),
         "kappa": _jnum(args.kappa),
         "m": report.m,
-        "eta": {
-            "subspace": _jnum(report.eta_subspace),
-            "closed_form": _jnum(report.eta_closed_form),
-            "lambda": _jnum(report.eta_lambda),
-            "dynamic_absorbed": _jnum(report.eta_dynamic),
-            "dynamic_survival": _jnum(report.eta_survival),
-        },
+        "eta": {route: _jnum(eta) for route, eta in report.eta.items()},
     }
     _emit(_dumps(payload), args.out)
-    routes = (
-        ("closed_form", report.eta_closed_form, _CLOSED_FORM_TOL),
-        ("lambda", report.eta_lambda, _LAMBDA_TOL),
-        ("dynamic_absorbed", report.eta_dynamic, _DYNAMIC_TOL),
-        ("dynamic_survival", report.eta_survival, _DYNAMIC_TOL),
-    )
-    disagree = [
-        f"subspace and {name} disagree by {abs(eta - report.eta_subspace):.3g} > {tol:g}"
-        for name, eta, tol in routes
-        if eta is not None and not abs(eta - report.eta_subspace) <= tol
-    ]
-    m_cf = report.m_closed_form
-    if m_cf is not None and m_cf != report.m:
-        disagree.append(
-            f"Krylov dimension m={report.m} and closed-form dimension {m_cf} disagree"
-        )
-    if disagree:
-        print(f"error: {'; '.join(disagree)}", file=sys.stderr)
+    if report.disagreements:
+        print(f"error: {'; '.join(report.disagreements)}", file=sys.stderr)
         return 3
     return 0
 

@@ -1,12 +1,13 @@
 """Dense numerical kernels.
 
-Five primitives back everything else in the package:
+Six primitives back everything else in the package:
 
 * :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix,
   or of a stack of them (LAPACK ``eigh``, ascending values, orthonormal
   vectors);
-* :func:`orthonormalize_against` -- tolerance-aware Gram-Schmidt step used
-  by the invariant-subspace construction;
+* :func:`orthonormalize_against` -- tolerance-aware Gram-Schmidt step;
+* :func:`krylov_vectors` -- the invariant-subspace construction built on
+  it: the orthonormal Krylov rows of a symmetric matrix seeded at |w>;
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
   Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
@@ -21,7 +22,7 @@ Five primitives back everything else in the package:
   and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
   L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the dense
-  eigenvalues.
+  eigenvalues; the Krylov dimension counts the modes that decay.
 """
 
 from __future__ import annotations
@@ -89,6 +90,29 @@ def orthonormalize_against(
     return r / norm_out
 
 
+def _sign(v: np.ndarray) -> float:
+    """Sign of the first non-negligible component of `v`; ``_sign(v) * v``
+    applies the basis sign convention."""
+    nz = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
+    return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
+
+
+def krylov_vectors(a: np.ndarray, w: int, tol: float = 1e-10) -> np.ndarray:
+    """Orthonormal rows, signed by :func:`_sign`, spanning the smallest
+    subspace that contains |w> and is invariant under the real symmetric
+    matrix `a`: applies `a` to the newest row and orthonormalizes against
+    all previous ones, stopping at the first linear dependence."""
+    e1 = np.zeros(len(a))
+    e1[w] = 1.0
+    vectors = [e1]
+    while len(vectors) <= len(a):
+        nxt = orthonormalize_against(a @ vectors[-1], np.asarray(vectors), tol)
+        if nxt is None:
+            break
+        vectors.append(_sign(nxt) * nxt)
+    return np.asarray(vectors)
+
+
 @dataclass(frozen=True)
 class TrappedEvolution:
     """Final state plus absorbed probability and sampled trajectory data.
@@ -109,7 +133,8 @@ class TrappedEvolution:
 
 class UnstableStepError(ValueError):
     """The RK4 step size lies outside the method's stability region, or is
-    so small that the horizon needs more than 2^40 steps."""
+    so small that the horizon needs more than 2^40 steps, or too slow a
+    decay leaves the horizon unresolved."""
 
 
 # Taylor coefficients of the classical RK4 stability polynomial R: one step
@@ -132,7 +157,9 @@ _DARK_RATE_TOL = 1e-12
 
 
 def _trapped_hamiltonian(l: np.ndarray, w: int, kappa: float) -> np.ndarray:
-    """L - i*kappa |w><w| as a dense complex matrix."""
+    """L - i*kappa |w><w| as a dense complex matrix, for kappa >= 0."""
+    if kappa < 0:
+        raise ValueError("kappa must be non-negative")
     h = np.array(l, dtype=complex)
     n = h.shape[0]
     if h.ndim != 2 or h.shape[1] != n:
@@ -147,17 +174,23 @@ def decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
     """Time at which the slowest decaying mode of H = L - i*kappa |w><w|
     keeps 1e-8 of its weight: ln(1e8) / (2 * gamma_min).
 
-    gamma_min is the smallest decay rate -Im(lambda) over the eigenvalues of
-    the dense H that decay; rates at or below 1e-12 * max(1, ||L||_F) belong
-    to dark modes, which never reach the trap. Raises ValueError when no
-    mode decays.
+    Exactly m modes of H decay, m being the Krylov dimension of L at w; the
+    others are dark and never reach the trap. gamma_min is the smallest of
+    the m largest rates -Im(lambda) over the eigenvalues of the dense H.
+    Raises UnstableStepError when one of those m rates is no larger than a
+    dark mode's roundoff, 1e-12 * max(1, ||L||_F), as at extreme kappa.
     """
     h = _trapped_hamiltonian(l, w, kappa)
-    rates = -np.linalg.eigvals(h).imag
-    decaying = rates[rates > _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(h.real)))]
-    if decaying.size == 0:
-        raise ValueError("no mode decays: the trap never absorbs")
-    return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * float(decaying.min()))
+    m = len(krylov_vectors(h.real, w))
+    rates = np.sort(-np.linalg.eigvals(h).imag)[-m:]
+    floor = _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(h.real)))
+    lost = int(np.count_nonzero(rates <= floor))
+    if lost:
+        raise UnstableStepError(
+            f"no decay horizon can be resolved: the rates of {lost} of the {m} modes "
+            f"that reach the trap are at or under the roundoff floor {floor:.3g}"
+        )
+    return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * float(rates[0]))
 
 
 def rk4_step(l: np.ndarray, kappa: float, t_max: float) -> float:
@@ -216,8 +249,6 @@ def evolve_trapped(
     """
     h = _trapped_hamiltonian(l, w, kappa)
     n = h.shape[0]
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
     if not (dt > 0 and t_max > 0 and math.isfinite(t_max / dt)):
         raise ValueError("dt and t_max must be positive, with a finite ratio")
     if t_max / dt > _MAX_STEPS:

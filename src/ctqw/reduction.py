@@ -45,7 +45,7 @@ from .graphs import (
     build,
     laplacian,
 )
-from .numerics import orthonormalize_against
+from .numerics import _sign, _trapped_hamiltonian, krylov_vectors
 
 
 class UnsupportedFamilyError(ValueError):
@@ -83,31 +83,13 @@ class SubspaceBasis:
         return float(np.sum(np.abs(amps) ** 2))
 
 
-def _sign(v: np.ndarray) -> float:
-    """Sign of the first non-negligible component of `v`; ``_sign(v) * v``
-    applies the basis sign convention."""
-    nz = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
-    return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
-
-
 def krylov_basis(g: Graph, w: int = 0, tol: float = 1e-10) -> SubspaceBasis:
-    """Iterative orthonormal basis of the walk-invariant subspace seeded at w.
-
-    Applies the Laplacian to the newest basis vector and orthonormalizes
-    against all previous ones; stops at the first linear dependence.
-    """
+    """Iterative orthonormal basis of the walk-invariant subspace seeded at
+    w: the Krylov rows of the Laplacian (:func:`~ctqw.numerics.krylov_vectors`),
+    which stop at the first linear dependence."""
     if not 0 <= w < g.n:
         raise ValueError(f"vertex {w} out of range")
-    l = laplacian(g)
-    e1 = np.zeros(g.n)
-    e1[w] = 1.0
-    vectors = [e1]
-    while len(vectors) <= g.n:
-        nxt = orthonormalize_against(l @ vectors[-1], np.asarray(vectors), tol)
-        if nxt is None:
-            break
-        vectors.append(_sign(nxt) * nxt)
-    return SubspaceBasis(np.asarray(vectors))
+    return SubspaceBasis(krylov_vectors(laplacian(g), w, tol))
 
 
 def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndarray:
@@ -117,11 +99,7 @@ def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndar
         raise ValueError(
             f"basis ambient dimension {basis.ambient} does not match graph order {g.n}"
         )
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    h = (basis.vectors @ laplacian(g) @ basis.vectors.T).astype(complex)
-    h[0, 0] += -1j * kappa
-    return h
+    return _trapped_hamiltonian(basis.vectors @ laplacian(g) @ basis.vectors.T, 0, kappa)
 
 
 # --- closed-form references ------------------------------------------------------
@@ -344,15 +322,12 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     Off-diagonal entry (k, k+1) picks up the product of the sign flips the
     convention applies to the k-th and (k+1)-th analytic basis vectors.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
     forms, vectors = _analytic_basis(spec, "reduced Hamiltonian")
     signs = [_sign(v) for v in vectors]
-    h = np.diag(np.asarray(forms.diag, dtype=complex))
+    h = np.diag(np.asarray(forms.diag, dtype=float))
     for i, x in enumerate(forms.off):
         h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]
-    h[0, 0] += -1j * kappa
-    return h
+    return _trapped_hamiltonian(h, 0, kappa)
 
 
 def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> bool:

@@ -300,6 +300,19 @@ def test_step_count_cap_names_dt(capsys):
     assert err.count("\n") == 1 and "--kappa" in err and "dt=" in err and "2^40" in err
 
 
+@pytest.mark.parametrize("kappa", ["1e-13", "1e-12", "1e12", "1e16", "1e300"])
+def test_unresolvable_decay_rate_names_kappa(capsys, kappa):
+    # at both extremes a trap-visible mode of K4 decays slower than a dark
+    # mode's roundoff, so no horizon can be set; one set by the fast mode
+    # alone would end the run early and report a false disagreement
+    code, out, err = run_cli(
+        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a", "--oracle", "--kappa", kappa
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--kappa" in err and "roundoff" in err
+
+
 def test_closed_form_disagreement_exits_3(capsys, monkeypatch):
     # a loose dependency tolerance truncates the Rook(4) basis to m=1, so the
     # subspace route reads 0 against the closed form 1/9

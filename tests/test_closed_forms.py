@@ -82,7 +82,7 @@ def test_closed_forms_inventory(spec):
         state = Localized(class_vertices(g, label)[0])
         got = efficiency_subspace(g, 0, state)
         assert abs(got - want) <= 1e-12, (label, got, want)
-        assert efficiency_report(spec, g, state).eta_closed_form == want, label
+        assert efficiency_report(spec, g, state).eta["closed_form"] == want, label
     for i, label1 in enumerate(labels):
         for label2 in labels[i:]:
             vertices = _pair_vertices(g, label1, label2)
@@ -99,7 +99,7 @@ def test_closed_forms_inventory(spec):
                 got = efficiency_subspace(g, 0, state)
                 assert abs(got - want) <= 1e-12, (label1, label2, theta, got, want)
                 report = efficiency_report(spec, g, state)
-                assert report.eta_closed_form == want, (label1, label2, theta)
+                assert report.eta["closed_form"] == want, (label1, label2, theta)
             if covered:
                 supported.append(f"{label1}+{label2}")
     assert " ".join(supported) == SUPPORTED[spec]
@@ -124,10 +124,10 @@ def test_same_class_superposition_takes_the_same_overlap_rule(spec):
         for theta in THETAS:
             report = efficiency_report(spec, g, Superposition(*vertices, theta))
             if eta is None:
-                assert report.eta_closed_form is None
+                assert report.eta["closed_form"] is None
                 continue
-            assert report.eta_closed_form == (1.0 + math.cos(theta)) * eta
-            assert abs(report.eta_closed_form - report.eta_subspace) <= 1e-12
+            assert report.eta["closed_form"] == (1.0 + math.cos(theta)) * eta
+            assert abs(report.eta["closed_form"] - report.eta["subspace"]) <= 1e-12
 
 
 def test_closed_forms_lookup_covers_every_family():

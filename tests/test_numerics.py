@@ -279,6 +279,17 @@ def test_rk4_step_bounds():
     assert rk4_step(laplacian(build_complete(4)), 1e4, 10.0) == pytest.approx(3e-6)
 
 
+@pytest.mark.parametrize("kappa", [1e-13, 1e-12, 1e12, 1e16, 1e300])
+@pytest.mark.parametrize(
+    "g", [build_complete(4), build_joined_complete(6)], ids=["K4", "JCG6"]
+)
+def test_decay_horizon_rejects_modes_slower_than_roundoff(g, kappa):
+    # a trap-visible mode decays at about kappa (small kappa) or 1/kappa
+    # (large kappa), under the dark-mode cut in both cases
+    with pytest.raises(UnstableStepError, match="roundoff"):
+        decay_horizon(laplacian(g), 0, kappa)
+
+
 def test_decay_horizon_needs_a_decaying_mode():
     with pytest.raises(ValueError):
         decay_horizon(laplacian(build_complete(4)), 0, 0.0)

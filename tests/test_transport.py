@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctqw import (
+    ROUTE_TOLERANCES,
     Complete,
     CompleteBipartite,
     Explicit,
@@ -29,6 +30,7 @@ from ctqw import (
     lambda_subspace,
     subspace_equal,
     superposition_rule,
+    transport,
 )
 
 
@@ -259,11 +261,13 @@ def test_efficiency_report_routes_agree():
         Complete(4), build(Complete(4)), Localized(1), oracle=True
     )
     assert report.m == 2
-    assert report.eta_subspace == pytest.approx(1 / 3, abs=1e-12)
-    assert report.eta_closed_form == pytest.approx(1 / 3, abs=1e-12)
-    assert report.eta_lambda == pytest.approx(1 / 3, abs=1e-9)
-    assert report.eta_dynamic == pytest.approx(1 / 3, abs=1e-2)
-    assert report.eta_survival == pytest.approx(1 / 3, abs=1e-2)
+    assert tuple(report.eta) == ("subspace", *ROUTE_TOLERANCES)
+    assert report.disagreements == ()
+    assert report.eta["subspace"] == pytest.approx(1 / 3, abs=1e-12)
+    assert report.eta["closed_form"] == pytest.approx(1 / 3, abs=1e-12)
+    assert report.eta["lambda"] == pytest.approx(1 / 3, abs=1e-9)
+    assert report.eta["dynamic_absorbed"] == pytest.approx(1 / 3, abs=1e-2)
+    assert report.eta["dynamic_survival"] == pytest.approx(1 / 3, abs=1e-2)
 
 
 # The benchmark's oracle panel, one paper-scale instance per family.
@@ -293,14 +297,46 @@ def test_oracle_within_readme_bound_on_the_panel(spec, label, kappa):
     g = build(spec)
     state = Localized(class_representative(g, label))
     report = efficiency_report(spec, g, state, kappa=kappa, oracle=True)
-    assert abs(report.eta_dynamic - report.eta_subspace) <= 1.1e-8
-    assert abs(report.eta_survival - report.eta_subspace) <= 1.1e-8
+    assert abs(report.eta["dynamic_absorbed"] - report.eta["subspace"]) <= 1.1e-8
+    assert abs(report.eta["dynamic_survival"] - report.eta["subspace"]) <= 1.1e-8
+    assert report.disagreements == ()
+
+
+_DIMENSION_MESSAGE = "Krylov dimension m=1 and closed-form dimension 3 disagree"
+
+
+@pytest.mark.parametrize(
+    "label, want",
+    [
+        # a loose dependency tolerance truncates the Rook(4) basis to m=1, so
+        # the subspace route reads 0 against the closed form 1/9
+        ("b", ("subspace and closed_form disagree by 0.111 > 1e-09", _DIMENSION_MESSAGE)),
+        # the trap's own state has no closed form: only m shows the truncation
+        (None, (_DIMENSION_MESSAGE,)),
+    ],
+    ids=["class-b", "vertex-0"],
+)
+def test_efficiency_report_lists_disagreements(label, want):
+    g = build(Rook(4))
+    state = Localized(0 if label is None else class_representative(g, label))
+    report = efficiency_report(Rook(4), g, state, tol=0.5)
+    assert report.m == 1
+    assert report.disagreements == want
+
+
+def test_efficiency_report_lists_dynamic_disagreements(monkeypatch):
+    # a horizon far too short for the dynamics to converge
+    monkeypatch.setattr(transport, "decay_horizon", lambda l, w, kappa: 0.5)
+    g = build(JoinedComplete(6))
+    report = efficiency_report(JoinedComplete(6), g, Localized(5), oracle=True)
+    routes = [message.split(" disagree")[0] for message in report.disagreements]
+    assert routes == ["subspace and dynamic_absorbed", "subspace and dynamic_survival"]
 
 
 def test_efficiency_report_uncovered_closed_form_is_none():
     report = efficiency_report(Complete(4), build(Complete(4)), Localized(0))  # the trap
-    assert report.eta_closed_form is None
-    assert report.eta_subspace == pytest.approx(1.0)
+    assert report.eta["closed_form"] is None
+    assert report.eta["subspace"] == pytest.approx(1.0)
 
 
 def test_balanced_bipartite_efficiency_scales_as_inverse_order():
