@@ -249,6 +249,8 @@ def _cmd_efficiency(args) -> int:
         raise ValueError("--theta must be finite")
     if not (math.isfinite(args.kappa) and args.kappa >= 0):
         raise ValueError("--kappa must be finite and >= 0")
+    if args.oracle and args.kappa == 0:
+        raise ValueError("--kappa must be > 0 with --oracle")
     spec = _spec_from_args(args)
     g = build(spec)
     psi0 = _parse_state(g, args.state, args.theta)

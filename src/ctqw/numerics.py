@@ -13,9 +13,10 @@ Six primitives back everything else in the package:
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
   with its Euler-Maclaurin end term. A run takes every step up to t_max
   and keeps 256 samples. The equation is linear, so one RK4 step is one
-  precomputed matrix P: one loop propagates the state from sample to
-  sample with the matrix P^b - I, and one batched pass after it evaluates
-  the flux summed over each sample interval as a quadratic form, both
+  precomputed matrix P: a doubling ladder fills the samples at a cost of
+  log2(samples) squarings of P^b - I, each level propagating every sample
+  so far in one block product, and one batched pass after it evaluates the
+  flux summed over each sample interval as a quadratic form, the interval
   matrices built by binary doubling; a step size outside the RK4 stability
   region, or one that needs more than 2^40 steps, is rejected;
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
@@ -234,11 +235,14 @@ def evolve_trapped(
     where S_b = sum_{j<b} (P^j)^H Q P^j, psi being the state at the start
     of the interval. The pair (P^b - I, S_b) is built by binary doubling
     before the run, once for the stride and once for a shorter last
-    interval. One loop then propagates the state over the intervals, one
-    matrix-vector product each, and a single batched pass over the stacked
-    samples evaluates every interval's quadratic form, so the run costs
-    O(n^2) per sample whatever the step count. Raises UnstableStepError
-    when the spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies
+    interval. A doubling ladder then fills the samples: with the first f
+    filled and D = P^(fb) - I, one block product propagates them to samples
+    f .. 2f - 1, and D <- 2D + D^2 moves to the next level. That is
+    log2(samples) block products and squarings in place of one
+    matrix-vector product per sample. A single batched pass over the
+    samples then evaluates every interval's quadratic form, so the run's
+    cost does not grow with its step count. Raises UnstableStepError when
+    the spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies
     outside the RK4 stability region, or when t_max / dt exceeds 2^40
     steps.
 
@@ -255,7 +259,7 @@ def evolve_trapped(
             f"dt={dt:g} needs {t_max / dt:.3g} steps to reach t_max={t_max:g}, "
             f"more than the cap of 2^40"
         )
-    psi = np.asarray(psi0, dtype=complex).reshape(n).copy()
+    psi = np.asarray(psi0, dtype=complex).reshape(n)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
 
@@ -279,19 +283,24 @@ def evolve_trapped(
     q[w, w] = 2.0 * kappa
     jump, flux_sum = _flux_pair(delta, q, stride)
 
-    states = [psi]
-    for _ in range(full):
-        psi = psi + jump @ psi
-        states.append(psi)
+    # doubling ladder: with rows [0, f) filled and d = P^(f*stride) - I,
+    # rows [f, 2f) are rows [0, f) propagated by d, then d <- 2d + d^2
+    samples = np.empty((full + 1 + (rest > 0), n), dtype=complex)
+    samples[0] = psi
+    filled, d = 1, jump
+    while filled <= full:
+        block = samples[: min(filled, full + 1 - filled)]
+        samples[filled : filled + len(block)] = block + block @ d.T
+        filled += len(block)
+        if filled <= full:
+            d = 2.0 * d + d @ d
     if rest:
         rest_jump, rest_sum = _flux_pair(delta, q, rest)
-        psi = psi + rest_jump @ psi
-        states.append(psi)
-    samples = np.asarray(states)
-    times = dt * np.minimum(stride * np.arange(len(states)), nsteps)
+        samples[-1] = samples[full] + rest_jump @ samples[full]
+    times = dt * np.minimum(stride * np.arange(len(samples)), nsteps)
 
     # flux summed over the steps of each sample interval, psi_k^H S_b psi_k
-    sums = np.zeros(len(states))
+    sums = np.zeros(len(samples))
     head = samples[:full]
     sums[1 : full + 1] = np.einsum("ij,ij->i", head.conj(), head @ flux_sum.T).real
     if rest:
@@ -304,7 +313,7 @@ def evolve_trapped(
         dt * np.cumsum(sums) + 0.5 * dt * (flux - flux[0]) - dt / 12.0 * (slope - slope[0])
     )
     return TrappedEvolution(
-        psi=psi,
+        psi=samples[-1].copy(),
         absorbed=float(absorbed_at[-1]),
         t_final=nsteps * dt,
         times=times,

@@ -449,6 +449,16 @@ def test_non_finite_or_negative_numeric_flags_exit_2(capsys, flag, value):
     assert err.count("\n") == 1 and flag in err
 
 
+def test_oracle_at_zero_kappa_names_the_flag(capsys):
+    code, out, err = run_cli(
+        capsys, "efficiency", "complete", "--n", "4", "--state", "class:a",
+        "--kappa", "0", "--oracle",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--kappa" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "tiny"])
 def test_invalid_dependency_tolerance_names_env(capsys, monkeypatch, tol):
     monkeypatch.setenv("CTQW_TOL", tol)

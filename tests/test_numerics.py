@@ -224,6 +224,15 @@ EVOLVE_CASES = [
     # so the doubling takes a run of zero bits, then two set bits
     ("stride with zero bits", laplacian(build_petersen()), 0.7, 3,
      dict(dt=1e-4, t_max=3.3576)),
+    # the doubling ladder's edges: one interval; 3 rows, so the second
+    # level's block is cut to 1 row; 4 rows, two whole levels; 258 rows at
+    # stride 1, not a power of two; 257 rows at stride 2 plus a last block
+    # of 1 step
+    ("one step", laplacian(build_petersen()), 0.7, 3, dict(dt=0.1, t_max=0.1)),
+    ("two steps", laplacian(build_petersen()), 0.7, 3, dict(dt=0.1, t_max=0.2)),
+    ("three steps", laplacian(build_petersen()), 0.7, 3, dict(dt=0.1, t_max=0.3)),
+    ("257 steps", laplacian(build_petersen()), 0.7, 3, dict(dt=0.01, t_max=2.57)),
+    ("513 steps", laplacian(build_petersen()), 0.7, 3, dict(dt=0.01, t_max=5.13)),
 ]
 
 
