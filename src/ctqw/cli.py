@@ -5,9 +5,9 @@ report), ``efficiency`` (transport-efficiency report for one initial
 state), ``sweep`` (emit the named reference datasets as CSV or JSON).
 
 Output is deterministic: rows are sorted and every number is printed with
-12 significant digits. The environment variable CTQW_TOL overrides the
-linear-dependence tolerance of the subspace construction in ``efficiency``;
-the other commands ignore it.
+12 significant digits. JSON output is the text of ``json.dumps(payload,
+indent=2, allow_nan=False)``; ``graph`` formats its edge list as one block
+of that same text, spliced over a ``null`` placeholder.
 """
 
 from __future__ import annotations
@@ -88,77 +88,18 @@ def _emit(text: str, out: str | None) -> None:
         raise _unwritable(out, exc.strerror or str(exc)) from exc
 
 
-def _dep_tol() -> float:
-    raw = os.environ.get("CTQW_TOL", "1e-10")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"CTQW_TOL must be a finite positive number, got {raw!r}")
-    return tol
-
-
 def _dumps(payload) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"``, byte for
-    byte, for an acyclic payload.
-
-    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder. Here
-    the containers are joined directly and the leaves go to the same
-    functions the stdlib calls (its C string escaper, ``int.__repr__``,
-    ``float.__repr__``); a list of integer pairs, such as an edge list,
-    is formatted by a single ``%`` over all its entries. Anything else
-    (non-string keys, subclasses, non-finite floats, unknown types) is
-    handed to ``json.dumps`` itself, which formats it or raises as usual.
-    """
-    return _encode(payload, "\n") + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-_escape = json.encoder.encode_basestring_ascii
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _int_pair_leaves(rows) -> tuple | None:
-    """The leaves of `rows` in order when every row is a list or tuple of
-    two ``int`` leaves (not ``bool``), else None. Each test is one C-level
-    pass over the rows or leaves, with no Python call per row."""
-    if set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) == {2}:
-        leaves = tuple(chain.from_iterable(rows))
-        if set(map(type, leaves)) == {int}:
-            return leaves
-    return None
-
-
-def _encode(obj, newline: str) -> str:
-    """JSON text of `obj`, whose lines after the first start with
-    `newline` (a line break and the enclosing indentation)."""
-    kind = type(obj)
-    if kind is str:
-        return _escape(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is float and math.isfinite(obj):
-        return float.__repr__(obj)
-    if obj is None or kind is bool:
-        return _LITERALS[obj]
-    inner = newline + "  "
-    if kind is dict and all(type(key) is str for key in obj):
-        if not obj:
-            return "{}"
-        items = [_escape(key) + ": " + _encode(value, inner) for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        sep = "," + inner
-        leaves = _int_pair_leaves(obj)
-        if leaves is not None:
-            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            body = sep.join([row] * len(obj)) % leaves
-        else:
-            body = sep.join([_encode(item, inner) for item in obj])
-        return "[" + inner + body + newline + "]"
-    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", newline)
+def _edge_block(edges) -> str:
+    """The text ``_dumps`` gives a nonempty edge list at the depth of
+    ``graph.edges``, formatted by one ``%`` over all its entries: the
+    stdlib's indenting encoder is pure Python and spends most of a large
+    ``graph`` request on the edge rows."""
+    row = "[\n        %d,\n        %d\n      ]"
+    rows = ",\n      ".join([row] * len(edges)) % tuple(chain.from_iterable(edges))
+    return "[\n      " + rows + "\n    ]"
 
 
 # --- family argument plumbing ---------------------------------------------------
@@ -228,10 +169,12 @@ def _cmd_graph(args) -> int:
     spec = _spec_from_args(args)
     g = build(spec)
     report = connectivity_report(g)
+    graph = graph_to_json(g)
+    edges, graph["edges"] = graph["edges"], None
     payload = {
         "family": family_name(spec),
         "params": asdict(spec),
-        "graph": graph_to_json(g),
+        "graph": graph,
         "connectivity": {
             "min_degree": report.min_degree,
             "vertex": report.vertex_conn,
@@ -240,7 +183,8 @@ def _cmd_graph(args) -> int:
             "normalized_algebraic": _jnum(report.normalized_algebraic_conn),
         },
     }
-    _emit(_dumps(payload), args.out)
+    text = _dumps(payload).replace('"edges": null', '"edges": ' + _edge_block(edges), 1)
+    _emit(text, args.out)
     return 0
 
 
@@ -255,9 +199,7 @@ def _cmd_efficiency(args) -> int:
     g = build(spec)
     psi0 = _parse_state(g, args.state, args.theta)
     try:
-        report = efficiency_report(
-            spec, g, psi0, kappa=args.kappa, oracle=args.oracle, tol=_dep_tol()
-        )
+        report = efficiency_report(spec, g, psi0, kappa=args.kappa, oracle=args.oracle)
     except UnstableStepError as exc:
         raise ValueError(f"--kappa {args.kappa:g}: {exc}") from exc
     payload = {

@@ -120,11 +120,9 @@ def class_uniform_state(g: Graph, label: str) -> np.ndarray:
 # --- the four routes ---------------------------------------------------------------
 
 
-def efficiency_subspace(
-    g: Graph, w: int, psi0: InitialState | np.ndarray, tol: float = 1e-10
-) -> float:
+def efficiency_subspace(g: Graph, w: int, psi0: InitialState | np.ndarray) -> float:
     """Overlap of the initial state with the trap-seeded invariant subspace."""
-    basis = krylov_basis(g, w, tol)
+    basis = krylov_basis(g, w)
     return basis.overlap(_as_vector(psi0, g.n))
 
 
@@ -241,7 +239,6 @@ def efficiency_report(
     *,
     kappa: float = 1.0,
     oracle: bool = False,
-    tol: float = 1e-10,
 ) -> EfficiencyReport:
     """Evaluate every applicable route for one (graph, initial state) point;
     `g` is ``build(spec)``.
@@ -259,7 +256,7 @@ def efficiency_report(
     ran is compared with the subspace route, and m with the size of the
     family's analytic reduced Hamiltonian, when it has one.
     """
-    basis = krylov_basis(g, 0, tol)
+    basis = krylov_basis(g, 0)
     psi = initial_state_vector(psi0, g.n)
     eta = dict.fromkeys(("subspace", *ROUTE_TOLERANCES))
     eta["subspace"] = basis.overlap(psi)

@@ -1,0 +1,22 @@
+from pathlib import Path
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _library_block() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs_and_holds():
+    # the values the block's comments state
+    scope: dict = {}
+    exec(compile(_library_block(), str(README), "exec"), scope)
+    assert scope["basis"].m == 4
+    assert scope["h_red"].shape == (4, 4) and scope["h_red"][0, 0].imag == -1.0
+    assert abs(scope["eta"] - 29 / 49) <= 1e-12
+    assert abs(scope["eta_formula"] - 29 / 49) <= 1e-12
+    report = scope["report"]
+    assert abs(report.eta["closed_form"] - 29 / 49) <= 1e-12
+    assert abs(report.eta["dynamic_absorbed"] - report.eta["subspace"]) <= 1e-8
+    assert report.disagreements == ()

@@ -14,6 +14,7 @@ from ctqw import (
     Petersen,
     Rook,
     Simplex,
+    SubspaceBasis,
     Superposition,
     UnsupportedCaseError,
     build,
@@ -308,18 +309,21 @@ _DIMENSION_MESSAGE = "Krylov dimension m=1 and closed-form dimension 3 disagree"
 @pytest.mark.parametrize(
     "label, want",
     [
-        # a loose dependency tolerance truncates the Rook(4) basis to m=1, so
-        # the subspace route reads 0 against the closed form 1/9
+        # a basis truncated to m=1 makes the Rook(4) subspace route read 0
+        # against the closed form 1/9
         ("b", ("subspace and closed_form disagree by 0.111 > 1e-09", _DIMENSION_MESSAGE)),
         # the trap's own state has no closed form: only m shows the truncation
         (None, (_DIMENSION_MESSAGE,)),
     ],
     ids=["class-b", "vertex-0"],
 )
-def test_efficiency_report_lists_disagreements(label, want):
+def test_efficiency_report_lists_disagreements(monkeypatch, label, want):
+    monkeypatch.setattr(
+        transport, "krylov_basis", lambda g, w=0: SubspaceBasis(krylov_basis(g, w).vectors[:1])
+    )
     g = build(Rook(4))
     state = Localized(0 if label is None else class_representative(g, label))
-    report = efficiency_report(Rook(4), g, state, tol=0.5)
+    report = efficiency_report(Rook(4), g, state)
     assert report.m == 1
     assert report.disagreements == want
 
