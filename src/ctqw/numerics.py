@@ -12,12 +12,10 @@ Six primitives back everything else in the package:
   Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
   the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
   with its Euler-Maclaurin end term. A run takes every step up to t_max
-  and keeps 256 samples. The equation is linear, so one RK4 step is one
-  precomputed matrix P: a doubling ladder fills the samples at a cost of
-  log2(samples) squarings of P^b - I, each level propagating every sample
-  so far in one block product, and one batched pass after it evaluates the
-  flux summed over each sample interval as a quadratic form, the interval
-  matrices built by binary doubling; a step size outside the RK4 stability
+  and returns its end state. The equation is linear, so one RK4 step is one
+  precomputed matrix P: binary doubling over the bits of the step count N
+  builds P^N - I and the flux summed over all N steps as a quadratic form,
+  in O(log N) matrix products; a step size outside the RK4 stability
   region, or one that needs more than 2^40 steps, is rejected;
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
   and the Gershgorin bound on the spectral radius of L;
@@ -44,6 +42,7 @@ class EigenSystem:
 
 
 _SYMMETRY_TOL = 1e-12
+_KRYLOV_TOL = 1e-10  # relative residual at which a Krylov row counts as dependent
 
 
 def sym_eig(a: np.ndarray) -> EigenSystem:
@@ -68,7 +67,7 @@ def sym_eig(a: np.ndarray) -> EigenSystem:
 
 
 def orthonormalize_against(
-    v: np.ndarray, basis: np.ndarray, tol: float = 1e-10
+    v: np.ndarray, basis: np.ndarray, tol: float = _KRYLOV_TOL
 ) -> np.ndarray | None:
     """Project `v` against an orthonormal row set and normalize the residual.
 
@@ -98,16 +97,17 @@ def _sign(v: np.ndarray) -> float:
     return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
 
 
-def krylov_vectors(a: np.ndarray, w: int, tol: float = 1e-10) -> np.ndarray:
+def krylov_vectors(a: np.ndarray, w: int) -> np.ndarray:
     """Orthonormal rows, signed by :func:`_sign`, spanning the smallest
     subspace that contains |w> and is invariant under the real symmetric
     matrix `a`: applies `a` to the newest row and orthonormalizes against
-    all previous ones, stopping at the first linear dependence."""
+    all previous ones, stopping at the first linear dependence (a residual
+    below 1e-10 of the new row's norm)."""
     e1 = np.zeros(len(a))
     e1[w] = 1.0
     vectors = [e1]
     while len(vectors) <= len(a):
-        nxt = orthonormalize_against(a @ vectors[-1], np.asarray(vectors), tol)
+        nxt = orthonormalize_against(a @ vectors[-1], np.asarray(vectors), _KRYLOV_TOL)
         if nxt is None:
             break
         vectors.append(_sign(nxt) * nxt)
@@ -116,20 +116,11 @@ def krylov_vectors(a: np.ndarray, w: int, tol: float = 1e-10) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrappedEvolution:
-    """Final state plus absorbed probability and sampled trajectory data.
-
-    ``times``, ``norm_sq`` and ``absorbed_at`` hold samples taken along the
-    integration (always including t = 0 and the final time), so callers can
-    check norm monotonicity and the conservation identity
-    absorbed(t) + ||psi(t)||^2 = 1 along the way.
-    """
+    """State at ``t_final`` and the probability absorbed by then."""
 
     psi: np.ndarray
     absorbed: float
     t_final: float
-    times: np.ndarray
-    norm_sq: np.ndarray
-    absorbed_at: np.ndarray
 
 
 class UnstableStepError(ValueError):
@@ -149,7 +140,6 @@ _TRAP_STEP = 0.03  # bound on dt * kappa
 # horizon) both routes read eta - 2.6e-9, as at dt=1e-4; larger counts are
 # unmeasured, and near 2^53 the step count itself stops being exact.
 _MAX_STEPS = 2**40
-_SAMPLES = 256  # sample intervals per run; a shorter run samples every step
 _HORIZON_SURVIVAL = 1e-8
 # Relative to max(1, ||L||_F). Dark-mode rates are roundoff, about
 # eps * ||L||_F whatever kappa is; real rates fall as 1/kappa at large kappa,
@@ -219,36 +209,26 @@ def evolve_trapped(
     dt: float,
     t_max: float,
 ) -> TrappedEvolution:
-    """Integrate the trapped walk with classical fixed-step RK4.
+    """Integrate the trapped walk with classical fixed-step RK4 over all
+    nsteps = round(t_max / dt) steps; there is no early stop, and a run of
+    0 steps returns psi0 with nothing absorbed.
 
     The right-hand side is G psi with G = -i (L - i*kappa |w><w|). The
     absorbed probability accumulates the flux f = 2*kappa*|<w|psi>|^2 by
-    the trapezoid rule over every step, and each sample adds the
-    Euler-Maclaurin end term -dt^2/12 * (f'(t) - f'(0)), with
+    the trapezoid rule over every step, plus the Euler-Maclaurin end term
+    -dt^2/12 * (f'(t_final) - f'(0)), with
     f' = 4*kappa*Re(conj(psi_w) * (G psi)_w). The trapezoid rule alone errs
     by about (dt*kappa)^2 / 3 on a state that starts on the trap; with the
     end term, absorbed + ||psi||^2 stays within integration error of 1.
 
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
     which equals the four-stage update exactly. With Q = 2*kappa |w><w|, the
-    flux summed over the b steps of one sample interval is psi^H S_b psi,
-    where S_b = sum_{j<b} (P^j)^H Q P^j, psi being the state at the start
-    of the interval. The pair (P^b - I, S_b) is built by binary doubling
-    before the run, once for the stride and once for a shorter last
-    interval. A doubling ladder then fills the samples: with the first f
-    filled and D = P^(fb) - I, one block product propagates them to samples
-    f .. 2f - 1, and D <- 2D + D^2 moves to the next level. That is
-    log2(samples) block products and squarings in place of one
-    matrix-vector product per sample. A single batched pass over the
-    samples then evaluates every interval's quadratic form, so the run's
-    cost does not grow with its step count. Raises UnstableStepError when
-    the spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies
-    outside the RK4 stability region, or when t_max / dt exceeds 2^40
-    steps.
-
-    There is no early stop: the run takes all nsteps = round(t_max / dt)
-    steps. Samples are taken every ``max(1, nsteps // 256)`` steps and at
-    the last step, so a run of at most 256 steps records every step.
+    flux summed over the first N steps is psi0^H S_N psi0, where
+    S_N = sum_{j<N} (P^j)^H Q P^j. The pair (P^N - I, S_N) is built by
+    binary doubling over the bits of N, so a run costs O(log N) matrix
+    products whatever its step count. Raises UnstableStepError when the
+    spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies outside
+    the RK4 stability region, or when t_max / dt exceeds 2^40 steps.
     """
     h = _trapped_hamiltonian(l, w, kappa)
     n = h.shape[0]
@@ -277,65 +257,34 @@ def evolve_trapped(
         )
 
     nsteps = int(round(t_max / dt))
-    stride = max(1, nsteps // _SAMPLES)
-    full, rest = divmod(nsteps, stride)
+    if nsteps == 0:
+        return TrappedEvolution(psi=psi.copy(), absorbed=0.0, t_final=0.0)
+    # (P^a - I, S_a) from a = 1, over the bits of nsteps after the leading
+    # one: each bit doubles a, S_2a = S_a + (P^a)^H S_a P^a, and a set bit
+    # then adds a step, S_{a+1} = Q + P^H S_a P. Powers are carried as
+    # P^a - I, whose small entries keep their relative precision where P^a
+    # itself would round them against the identity (about 2^40 * eps after
+    # 2^40 steps).
     q = np.zeros_like(z)
     q[w, w] = 2.0 * kappa
-    jump, flux_sum = _flux_pair(delta, q, stride)
-
-    # doubling ladder: with rows [0, f) filled and d = P^(f*stride) - I,
-    # rows [f, 2f) are rows [0, f) propagated by d, then d <- 2d + d^2
-    samples = np.empty((full + 1 + (rest > 0), n), dtype=complex)
-    samples[0] = psi
-    filled, d = 1, jump
-    while filled <= full:
-        block = samples[: min(filled, full + 1 - filled)]
-        samples[filled : filled + len(block)] = block + block @ d.T
-        filled += len(block)
-        if filled <= full:
-            d = 2.0 * d + d @ d
-    if rest:
-        rest_jump, rest_sum = _flux_pair(delta, q, rest)
-        samples[-1] = samples[full] + rest_jump @ samples[full]
-    times = dt * np.minimum(stride * np.arange(len(samples)), nsteps)
-
-    # flux summed over the steps of each sample interval, psi_k^H S_b psi_k
-    sums = np.zeros(len(samples))
-    head = samples[:full]
-    sums[1 : full + 1] = np.einsum("ij,ij->i", head.conj(), head @ flux_sum.T).real
-    if rest:
-        sums[-1] = np.vdot(samples[full], rest_sum @ samples[full]).real
-    flux = 2.0 * kappa * np.abs(samples[:, w]) ** 2
-    slope = 4.0 * kappa * (samples[:, w].conj() * (samples @ z[w])).real  # dt * f'
-    # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{k-1} + f_k/2), plus the
-    # Euler-Maclaurin end term -dt^2/12 * (f'(t_k) - f'(0))
-    absorbed_at = (
-        dt * np.cumsum(sums) + 0.5 * dt * (flux - flux[0]) - dt / 12.0 * (slope - slope[0])
-    )
-    return TrappedEvolution(
-        psi=samples[-1].copy(),
-        absorbed=float(absorbed_at[-1]),
-        t_final=nsteps * dt,
-        times=times,
-        norm_sq=np.linalg.norm(samples, axis=1) ** 2,
-        absorbed_at=absorbed_at,
-    )
-
-
-def _flux_pair(delta: np.ndarray, q: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P^b - I, S_b) with S_b = sum_{j<b} (P^j)^H Q P^j, from delta = P - I
-    by binary doubling over the bits of b: S_2a = S_a + (P^a)^H S_a P^a and
-    S_{a+1} = Q + P^H S_a P. Powers are carried as P^a - I, whose small
-    entries keep their relative precision where P^a itself would round them
-    against the identity (about 2^40 * eps after 2^40 steps)."""
-    eye = np.eye(len(q))
-    d, total = delta, q
-    for bit in bin(b)[3:]:
+    d, flux_sum = delta, q
+    for bit in bin(nsteps)[3:]:
         p = eye + d
-        total = total + p.conj().T @ total @ p
+        flux_sum = flux_sum + p.conj().T @ flux_sum @ p
         d = 2.0 * d + d @ d
         if bit == "1":
             p = eye + delta
-            total = q + p.conj().T @ total @ p
+            flux_sum = q + p.conj().T @ flux_sum @ p
             d = d + delta + d @ delta
-    return d, total
+
+    ends = np.stack([psi, psi + d @ psi])
+    flux = 2.0 * kappa * np.abs(ends[:, w]) ** 2
+    slope = 4.0 * kappa * (ends[:, w].conj() * (ends @ z[w])).real  # dt * f'
+    # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{N-1} + f_N/2), plus the
+    # Euler-Maclaurin end term -dt^2/12 * (f'(t_N) - f'(0))
+    absorbed = (
+        dt * np.vdot(psi, flux_sum @ psi).real
+        + 0.5 * dt * (flux[1] - flux[0])
+        - dt / 12.0 * (slope[1] - slope[0])
+    )
+    return TrappedEvolution(psi=ends[1], absorbed=float(absorbed), t_final=nsteps * dt)

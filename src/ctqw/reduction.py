@@ -83,13 +83,13 @@ class SubspaceBasis:
         return float(np.sum(np.abs(amps) ** 2))
 
 
-def krylov_basis(g: Graph, w: int = 0, tol: float = 1e-10) -> SubspaceBasis:
+def krylov_basis(g: Graph, w: int = 0) -> SubspaceBasis:
     """Iterative orthonormal basis of the walk-invariant subspace seeded at
     w: the Krylov rows of the Laplacian (:func:`~ctqw.numerics.krylov_vectors`),
     which stop at the first linear dependence."""
     if not 0 <= w < g.n:
         raise ValueError(f"vertex {w} out of range")
-    return SubspaceBasis(krylov_vectors(laplacian(g), w, tol))
+    return SubspaceBasis(krylov_vectors(laplacian(g), w))
 
 
 def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndarray:

@@ -35,6 +35,7 @@ _GOLDEN_GRAPHS = {
 _GOLDEN_ORACLE = {
     "jcg-6-b1": ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
     "rook-4-b": ["rook", "--n", "4", "--state", "class:b", "--kappa", "0.9"],
+    "complete-8-a-k1e4": ["complete", "--n", "8", "--state", "class:a", "--kappa", "1e4"],
 }
 
 GOLDEN_CASES = (
