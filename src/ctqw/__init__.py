@@ -23,7 +23,6 @@ from .graphs import (
     Petersen,
     Rook,
     Simplex,
-    SrgParams,
     build,
     build_complete,
     build_complete_bipartite,
@@ -33,10 +32,8 @@ from .graphs import (
     build_rook,
     build_simplex,
     family_name,
-    graph_from_json,
     graph_to_json,
     laplacian,
-    validate_srg,
 )
 from .numerics import (
     EigenSystem,

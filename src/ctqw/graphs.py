@@ -366,48 +366,7 @@ def build(spec: FamilySpec) -> Graph:
     return FAMILIES[family_name(spec)][1](**asdict(spec))
 
 
-# --- strongly regular graph validation ----------------------------------------
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """Parameters (n, k, lam, mu) of a strongly regular graph."""
-
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-
-def validate_srg(g: Graph) -> SrgParams | None:
-    """Check strong regularity by counting common neighbors over all pairs.
-
-    Returns the parameters when the graph is a (connected, non-complete,
-    non-edgeless) strongly regular graph and the identity
-    k(k - lam - 1) = (n - k - 1) mu holds; returns None otherwise.
-    """
-    adj = g.adjacency
-    n = g.n
-    if not g.edges or len(g.edges) == n * (n - 1) // 2:
-        return None
-    if not g.is_connected():
-        return None
-    degs = g.degrees
-    if not np.all(degs == degs[0]):
-        return None
-    k = int(degs[0])
-    pairs = np.triu_indices(n, 1)
-    common, edge = (adj @ adj)[pairs], adj[pairs] > 0
-    lams, mus = np.unique(common[edge]), np.unique(common[~edge])
-    if len(lams) != 1 or len(mus) != 1:
-        return None
-    lam, mu = int(lams[0]), int(mus[0])
-    if k * (k - lam - 1) != (n - k - 1) * mu:
-        return None
-    return SrgParams(n, k, lam, mu)
-
-
-# --- JSON round trip ------------------------------------------------------------
+# --- JSON output ----------------------------------------------------------------
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -416,14 +375,3 @@ def graph_to_json(g: Graph) -> dict:
     if g.classes is not None:
         obj["classes"] = {str(v): g.classes[v] for v in range(g.n)}
     return obj
-
-
-def graph_from_json(obj: dict) -> Graph:
-    classes = None
-    if "classes" in obj and obj["classes"] is not None:
-        classes = {int(v): str(label) for v, label in obj["classes"].items()}
-    return Graph(
-        n=int(obj["n"]),
-        edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
-        classes=classes,
-    )

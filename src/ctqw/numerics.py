@@ -20,8 +20,8 @@ Six primitives back everything else in the package:
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
   and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
-  L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the dense
-  eigenvalues; the Krylov dimension counts the modes that decay.
+  L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the
+  eigenvalues of H on the trap's Krylov space, where every mode decays.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ _TRAP_STEP = 0.03  # bound on dt * kappa
 # unmeasured, and near 2^53 the step count itself stops being exact.
 _MAX_STEPS = 2**40
 _HORIZON_SURVIVAL = 1e-8
-# Relative to max(1, ||L||_F). Dark-mode rates are roundoff, about
-# eps * ||L||_F whatever kappa is; real rates fall as 1/kappa at large kappa,
-# so a bound that grows with kappa would hide them.
+# Relative to max(1, ||L||_F): the roundoff in the rates of the full n x n H
+# that evolve_trapped integrates, whatever kappa is; real rates fall as
+# 1/kappa at large kappa, so a bound that grows with kappa would hide them.
 _DARK_RATE_TOL = 1e-12
 
 
@@ -161,26 +161,23 @@ def _trapped_hamiltonian(l: np.ndarray, w: int, kappa: float) -> np.ndarray:
     return h
 
 
-def decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
+def decay_horizon(h: np.ndarray, l: np.ndarray) -> float:
     """Time at which the slowest decaying mode of H = L - i*kappa |w><w|
-    keeps 1e-8 of its weight: ln(1e8) / (2 * gamma_min).
-
-    Exactly m modes of H decay, m being the Krylov dimension of L at w; the
-    others are dark and never reach the trap. gamma_min is the smallest of
-    the m largest rates -Im(lambda) over the eigenvalues of the dense H.
-    Raises UnstableStepError when one of those m rates is no larger than a
-    dark mode's roundoff, 1e-12 * max(1, ||L||_F), as at extreme kappa.
+    keeps 1e-8 of its weight: ln(1e8) / (2 * gamma_min), gamma_min being
+    the smallest rate -Im(lambda) of `h`, H on the Krylov space of L at w
+    (:func:`~ctqw.reduction.reduced_hamiltonian`). H maps that space into
+    itself, and every mode there reaches the trap. Raises UnstableStepError
+    when gamma_min is no larger than the roundoff floor
+    1e-12 * max(1, ||L||_F) of the full Laplacian `l`, as at extreme kappa.
     """
-    h = _trapped_hamiltonian(l, w, kappa)
-    m = len(krylov_vectors(h.real, w))
-    rates = np.sort(-np.linalg.eigvals(h).imag)[-m:]
-    floor = _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(h.real)))
-    if not rates[0] > floor:
+    rate = float(np.min(-np.linalg.eigvals(h).imag))
+    floor = _DARK_RATE_TOL * max(1.0, float(np.linalg.norm(l)))
+    if not rate > floor:
         raise UnstableStepError(
             "no decay horizon can be resolved: a mode that reaches the trap "
             f"decays no faster than the roundoff floor {floor:.3g}"
         )
-    return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * float(rates[0]))
+    return math.log(1.0 / _HORIZON_SURVIVAL) / (2.0 * rate)
 
 
 def rk4_step(l: np.ndarray, kappa: float, t_max: float) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphs import MERGED_CLASSES, FamilySpec, Graph, laplacian
 from .numerics import _sign, decay_horizon, evolve_trapped, rk4_step, sym_eig
-from .reduction import SubspaceBasis, closed_forms, krylov_basis
+from .reduction import SubspaceBasis, closed_forms, krylov_basis, reduced_hamiltonian
 
 
 class UnsupportedCaseError(ValueError):
@@ -165,18 +165,19 @@ def efficiency_lambda(g: Graph, w: int, psi0: InitialState | np.ndarray) -> floa
 
 
 def efficiency_dynamic(
-    g: Graph, w: int, psi0: InitialState | np.ndarray, kappa: float
+    g: Graph, basis: SubspaceBasis, psi0: InitialState | np.ndarray, kappa: float
 ) -> tuple[float, float]:
     """Brute-force oracle: integrate the lossy dynamics with trap rate
-    `kappa` at vertex `w` and report (integrated trapping probability, lost
-    norm). The run ends at :func:`decay_horizon`, by which every decaying
-    mode keeps at most 1e-8 of its weight, and steps at :func:`rk4_step`
-    for that length."""
+    `kappa` at the vertex w whose |w> starts the trap's Krylov `basis`, and
+    report (integrated trapping probability, lost norm). The run ends at
+    :func:`decay_horizon` of the reduced Hamiltonian and steps at
+    :func:`rk4_step` for that length."""
     if not kappa > 0:
         raise ValueError("dynamic efficiency needs kappa > 0")
     psi = _as_vector(psi0, g.n)
     l = laplacian(g)
-    t_max = decay_horizon(l, w, kappa)
+    w = int(np.argmax(basis.vectors[0]))
+    t_max = decay_horizon(reduced_hamiltonian(basis, g, kappa), l)
     ev = evolve_trapped(l, w, kappa, psi, dt=rk4_step(l, kappa, t_max), t_max=t_max)
     survival = float(np.linalg.norm(ev.psi) ** 2)
     return ev.absorbed, 1.0 - survival
@@ -275,7 +276,7 @@ def efficiency_report(
     if oracle:
         eta["lambda"] = efficiency_lambda(g, 0, psi)
         eta["dynamic_absorbed"], eta["dynamic_survival"] = efficiency_dynamic(
-            g, 0, psi, kappa
+            g, basis, psi, kappa
         )
 
     disagreements = [

@@ -1,15 +1,23 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive (exhaustive enumeration, BFS) and
-shares no code with the implementation paths it checks.
+Everything here is deliberately naive (exhaustive enumeration, BFS, dense
+eigensolves) and shares no code with the implementation paths it checks,
+except that :func:`dense_decay_horizon` counts the decaying modes with the
+package's Krylov construction. The strongly-regular check and the JSON
+reader of graphs serve the graph tests only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
+
+from ctqw import Graph, UnstableStepError
+from ctqw.numerics import krylov_vectors
 
 
 def components(n: int, edges: set[tuple[int, int]]) -> int:
@@ -267,3 +275,70 @@ def rk4_trapped_reference(
         "absorbed": absorbed - dt * dt / 12.0 * (flux_slope(psi) - slope_0),
         "t_final": nsteps * dt,
     }
+
+
+def dense_decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
+    """ln(1e8) / (2 * gamma_min) from the eigenvalues of the dense n x n
+    H = L - i*kappa |w><w|. Exactly m modes of H decay, m being the Krylov
+    dimension of L at w; the others are dark and never reach the trap, so
+    gamma_min is the smallest of the m largest rates -Im(lambda). Raises
+    UnstableStepError when it is no larger than a dark mode's roundoff,
+    1e-12 * max(1, ||L||_F)."""
+    h = np.array(l, dtype=complex)
+    h[w, w] -= 1j * kappa
+    m = len(krylov_vectors(h.real, w))
+    rates = np.sort(-np.linalg.eigvals(h).imag)[-m:]
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(h.real)))
+    if not rates[0] > floor:
+        raise UnstableStepError(f"slowest trap-visible rate under the floor {floor:.3g}")
+    return math.log(1e8) / (2.0 * float(rates[0]))
+
+
+@dataclass(frozen=True)
+class SrgParams:
+    """Parameters (n, k, lam, mu) of a strongly regular graph."""
+
+    n: int
+    k: int
+    lam: int
+    mu: int
+
+
+def validate_srg(g: Graph) -> SrgParams | None:
+    """Check strong regularity by counting common neighbors over all pairs.
+
+    Returns the parameters when the graph is a (connected, non-complete,
+    non-edgeless) strongly regular graph and the identity
+    k(k - lam - 1) = (n - k - 1) mu holds; returns None otherwise.
+    """
+    adj = g.adjacency
+    n = g.n
+    if not g.edges or len(g.edges) == n * (n - 1) // 2:
+        return None
+    if not g.is_connected():
+        return None
+    degs = g.degrees
+    if not np.all(degs == degs[0]):
+        return None
+    k = int(degs[0])
+    pairs = np.triu_indices(n, 1)
+    common, edge = (adj @ adj)[pairs], adj[pairs] > 0
+    lams, mus = np.unique(common[edge]), np.unique(common[~edge])
+    if len(lams) != 1 or len(mus) != 1:
+        return None
+    lam, mu = int(lams[0]), int(mus[0])
+    if k * (k - lam - 1) != (n - k - 1) * mu:
+        return None
+    return SrgParams(n, k, lam, mu)
+
+
+def graph_from_json(obj: dict) -> Graph:
+    """Inverse of :func:`ctqw.graphs.graph_to_json`."""
+    classes = None
+    if "classes" in obj and obj["classes"] is not None:
+        classes = {int(v): str(label) for v, label in obj["classes"].items()}
+    return Graph(
+        n=int(obj["n"]),
+        edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
+        classes=classes,
+    )

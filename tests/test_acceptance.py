@@ -307,7 +307,7 @@ def test_criterion_8_property_suites():
     for spec, psi0 in kappa_cases:
         g = build(spec)
         values = [
-            efficiency_dynamic(g, 0, psi0, kappa)[0]
+            efficiency_dynamic(g, krylov_basis(g), psi0, kappa)[0]
             for kappa in (0.5, 1.0, 2.0)
         ]
         if max(values) - min(values) > 1e-6:

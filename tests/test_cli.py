@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from ctqw import cli, reduction, transport
+from ctqw import cli, numerics, reduction, transport
 from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,11 +32,13 @@ _GOLDEN_GRAPHS = {
 }
 
 # The dynamic routes: the longest horizon and the largest graph of the
-# benchmark's oracle panel.
+# benchmark's oracle panel, a large kappa, and the deepest reduced
+# Hamiltonian (Simplex(8), m=5), whose eigenvalues set the horizon.
 _GOLDEN_ORACLE = {
     "jcg-6-b1": ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
     "rook-4-b": ["rook", "--n", "4", "--state", "class:b", "--kappa", "0.9"],
     "complete-8-a-k1e4": ["complete", "--n", "8", "--state", "class:a", "--kappa", "1e4"],
+    "simplex-8-f-k3": ["simplex", "--m", "8", "--state", "class:f", "--kappa", "3"],
 }
 
 GOLDEN_CASES = (
@@ -283,7 +286,7 @@ def test_ctqw_tol_env_is_ignored(capsys, monkeypatch, raw):
 def test_oracle_disagreement_exits_3(capsys, monkeypatch):
     # a horizon far too short for the dynamics to converge trips the
     # numeric-agreement gate
-    monkeypatch.setattr(transport, "decay_horizon", lambda l, w, kappa: 0.5)
+    monkeypatch.setattr(transport, "decay_horizon", lambda h, l: 0.5)
     code, out, err = run_cli(
         capsys, "efficiency", "jcg", "--half", "6", "--state", "class:b1", "--oracle"
     )
@@ -338,7 +341,9 @@ def test_closed_form_disagreement_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["subspace", "oracle"])
 def test_krylov_dimension_disagreement_exits_3(capsys, monkeypatch, extra):
     # the trap's own state has no closed-form route to compare against, so
-    # only the dimension check can see the truncated basis (m=1, not 3)
+    # the dimension check sees the truncated basis (m=1, not 3); under
+    # --oracle the basis also cuts the decay horizon short, and both
+    # dynamic routes must report it
     _truncate_krylov_basis(monkeypatch)
     code, out, err = run_cli(
         capsys, "efficiency", "rook", "--n", "4", "--state", "vertex:0", *extra
@@ -347,6 +352,30 @@ def test_krylov_dimension_disagreement_exits_3(capsys, monkeypatch, extra):
     assert json.loads(out)["m"] == 1
     assert err.count("\n") == 1 and "disagree" in err
     assert "m=1" in err and "dimension 3" in err
+    dynamic = [f"{route} disagree" in err for route in ("dynamic_absorbed", "dynamic_survival")]
+    assert dynamic == [bool(extra)] * 2
+
+
+def test_oracle_request_builds_the_krylov_rows_once(capsys, monkeypatch):
+    # the decay horizon reads the reduced Hamiltonian of the basis the
+    # subspace route built; count calls through every binding of the name
+    original, calls = numerics.krylov_vectors, []
+
+    def counted(a, w):
+        calls.append(w)
+        return original(a, w)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ctqw"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    assert numerics.krylov_vectors is counted and reduction.krylov_vectors is counted
+    code, _, _ = run_cli(
+        capsys, "efficiency", "jcg", "--half", "6", "--state", "class:b1", "--oracle"
+    )
+    assert code == 0
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["subspace", "oracle"])

@@ -14,13 +14,11 @@ from ctqw import (
     build_petersen,
     build_rook,
     build_simplex,
-    graph_from_json,
     graph_to_json,
     laplacian,
-    validate_srg,
 )
 
-from _oracles import components, girth, pair_count_srg
+from _oracles import components, girth, graph_from_json, pair_count_srg, validate_srg
 
 ALL_INSTANCES = [
     build_complete(3),

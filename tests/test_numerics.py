@@ -15,14 +15,17 @@ from ctqw import (
     build_simplex,
     decay_horizon,
     evolve_trapped,
+    krylov_basis,
     laplacian,
     orthonormalize_against,
+    reduced_hamiltonian,
     rk4_step,
     sym_eig,
 )
 from ctqw.numerics import DEFAULT_DT
 
 from _oracles import (
+    dense_decay_horizon,
     rk4_trapped_reference,
     symmetric_2x2_eigenvalues,
     symmetric_3x3_eigenvalues,
@@ -252,14 +255,18 @@ def test_evolve_matches_per_step_rk4(l, kappa, v, kwargs):
     assert np.max(np.abs(ev.psi - ref["psi"])) <= 1e-10
 
 
+def _horizon(g, kappa):
+    """decay_horizon of the trap at vertex 0, from the reduced Hamiltonian."""
+    return decay_horizon(reduced_hamiltonian(krylov_basis(g), g, kappa), laplacian(g))
+
+
 @pytest.mark.parametrize("kappa", [0.5, 1.9, 2.5, 40.0])
 def test_decay_horizon_two_vertices(kappa):
     # H = [[1 - i kappa, -1], [-1, 1]] has eigenvalues
     # 1 - i kappa/2 +- sqrt(1 - kappa^2/4)
-    l = np.array([[1.0, -1.0], [-1.0, 1.0]])
     gamma = kappa / 2 - math.sqrt(max(0.0, kappa * kappa / 4 - 1))
     expected = math.log(1e8) / (2 * gamma)
-    assert decay_horizon(l, 0, kappa) == pytest.approx(expected, rel=1e-9)
+    assert _horizon(build_complete(2), kappa) == pytest.approx(expected, rel=1e-9)
 
 
 # the benchmark's oracle panel, one paper-scale instance per family
@@ -277,8 +284,7 @@ _ORACLE_PANEL = {
 @pytest.mark.parametrize("kappa", [0.1, 10.0])
 @pytest.mark.parametrize("g", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())
 def test_rk4_step_keeps_the_default_on_the_oracle_panel(g, kappa):
-    l = laplacian(g)
-    assert rk4_step(l, kappa, decay_horizon(l, 0, kappa)) == DEFAULT_DT
+    assert rk4_step(laplacian(g), kappa, _horizon(g, kappa)) == DEFAULT_DT
 
 
 def test_rk4_step_bounds():
@@ -297,9 +303,38 @@ def test_decay_horizon_rejects_modes_slower_than_roundoff(g, kappa):
     # a trap-visible mode decays at about kappa (small kappa) or 1/kappa
     # (large kappa), under the dark-mode cut in both cases
     with pytest.raises(UnstableStepError, match="roundoff"):
-        decay_horizon(laplacian(g), 0, kappa)
+        _horizon(g, kappa)
+
+
+# 60 log-spaced kappa over [1e-13, 1e16], past both edges where the slowest
+# trap-visible rate meets the roundoff floor, plus 1e300
+_KAPPA_GRID = [*np.logspace(-13.0, 16.0, 60), 1e300]
+
+
+@pytest.mark.parametrize(
+    "g", [*_ORACLE_PANEL.values(), build_complete(4)], ids=[*_ORACLE_PANEL, "K4"]
+)
+def test_decay_horizon_matches_the_dense_reference(g):
+    # the reduced m x m H gives the dense n x n verdict at every kappa, and
+    # the same horizon wherever both accept
+    l, basis = laplacian(g), krylov_basis(g)
+    verdicts = set()
+    for kappa in _KAPPA_GRID:
+        try:
+            want = dense_decay_horizon(l, 0, kappa)
+        except UnstableStepError:
+            want = None
+        try:
+            got = decay_horizon(reduced_hamiltonian(basis, g, kappa), l)
+        except UnstableStepError:
+            got = None
+        assert (got is None) == (want is None), kappa
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-9), kappa
+        verdicts.add(want is None)
+    assert verdicts == {False, True}
 
 
 def test_decay_horizon_needs_a_decaying_mode():
     with pytest.raises(ValueError):
-        decay_horizon(laplacian(build_complete(4)), 0, 0.0)
+        _horizon(build_complete(4), 0.0)

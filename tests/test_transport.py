@@ -178,14 +178,14 @@ def test_membership_and_orthogonality_randomized():
 
 def test_dynamic_oracle_on_k4():
     g = build(Complete(4))
-    absorbed, survival = efficiency_dynamic(g, 0, Localized(1), 1.0)
+    absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(1), 1.0)
     assert absorbed == pytest.approx(1 / 3, abs=1e-2)
     assert survival == pytest.approx(1 / 3, abs=1e-2)
 
 
 def test_dynamic_oracle_from_trap():
     g = build(Complete(4))
-    absorbed, survival = efficiency_dynamic(g, 0, Localized(0), 1.0)
+    absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(0), 1.0)
     assert absorbed == pytest.approx(1.0, abs=1e-2)
     assert survival == pytest.approx(1.0, abs=1e-2)
 
@@ -224,14 +224,15 @@ def test_dynamic_oracle_kappa_sweep_at_default_horizon(spec, where, kappa):
     g = build(spec)
     v = int(where) if where.isdigit() else class_representative(g, where)
     eta = efficiency_subspace(g, 0, Localized(v))
-    absorbed, survival = efficiency_dynamic(g, 0, Localized(v), kappa)
+    absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(v), kappa)
     assert absorbed == pytest.approx(eta, abs=1e-7)
     assert survival == pytest.approx(eta, abs=1e-7)
 
 
 def test_dynamic_oracle_rejects_zero_kappa():
+    g = build(Complete(4))
     with pytest.raises(ValueError):
-        efficiency_dynamic(build(Complete(4)), 0, Localized(1), 0.0)
+        efficiency_dynamic(g, krylov_basis(g), Localized(1), 0.0)
 
 
 def test_initial_state_vector():
@@ -328,9 +329,31 @@ def test_efficiency_report_lists_disagreements(monkeypatch, label, want):
     assert report.disagreements == want
 
 
+@pytest.mark.parametrize(
+    "label, want",
+    [
+        ("b", ["closed_form", "lambda", "dynamic_absorbed", "dynamic_survival"]),
+        (None, ["dynamic_absorbed", "dynamic_survival"]),
+    ],
+    ids=["class-b", "vertex-0"],
+)
+def test_efficiency_report_lists_oracle_disagreements(monkeypatch, label, want):
+    # the truncated basis (m=1) also cuts the decay horizon short, to
+    # ln(1e8) / (2 kappa); both dynamic routes must still be reported
+    monkeypatch.setattr(
+        transport, "krylov_basis", lambda g, w=0: SubspaceBasis(krylov_basis(g, w).vectors[:1])
+    )
+    g = build(Rook(4))
+    state = Localized(0 if label is None else class_representative(g, label))
+    report = efficiency_report(Rook(4), g, state, oracle=True)
+    assert report.disagreements[-1] == _DIMENSION_MESSAGE
+    routes = [message.split(" disagree")[0] for message in report.disagreements[:-1]]
+    assert routes == [f"subspace and {route}" for route in want]
+
+
 def test_efficiency_report_lists_dynamic_disagreements(monkeypatch):
     # a horizon far too short for the dynamics to converge
-    monkeypatch.setattr(transport, "decay_horizon", lambda l, w, kappa: 0.5)
+    monkeypatch.setattr(transport, "decay_horizon", lambda h, l: 0.5)
     g = build(JoinedComplete(6))
     report = efficiency_report(JoinedComplete(6), g, Localized(5), oracle=True)
     routes = [message.split(" disagree")[0] for message in report.disagreements]
