@@ -4,10 +4,8 @@ closed-form, subspace, spectral, and dynamical routes."""
 
 from .connectivity import (
     ConnectivityReport,
-    CorrelationRow,
     algebraic_connectivity,
     connectivity_report,
-    correlation_table,
     edge_connectivity,
     normalized_algebraic_connectivity,
     normalized_laplacian,
@@ -36,7 +34,6 @@ from .graphs import (
     laplacian,
 )
 from .numerics import (
-    EigenSystem,
     TrappedEvolution,
     UnstableStepError,
     decay_horizon,
@@ -64,7 +61,6 @@ from .transport import (
     UnsupportedCaseError,
     class_representative,
     class_uniform_state,
-    class_vertices,
     efficiency_closed_form,
     efficiency_dynamic,
     efficiency_lambda,

@@ -25,7 +25,12 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 from itertools import chain
 
-from .connectivity import connectivity_report, correlation_table
+from .connectivity import (
+    algebraic_connectivity,
+    connectivity_report,
+    edge_connectivity,
+    vertex_connectivity,
+)
 from .graphs import (
     FAMILIES,
     Complete,
@@ -46,9 +51,9 @@ from .transport import (
     Superposition,
     class_representative,
     class_uniform_state,
-    class_vertices,
     efficiency_closed_form,
     efficiency_report,
+    efficiency_subspace,
 )
 
 
@@ -152,7 +157,7 @@ def _parse_state(g, state_str: str, theta: float):
         v1, v2 = (_vertex_or_class(g, token) for token in parts)
         if v1 == v2:  # an index names one vertex; a class token takes the next
             labels = [token for token in parts if not _is_index(token)]
-            peers = class_vertices(g, labels[0]) if labels else ()
+            peers = g.class_vertices(labels[0]) if labels else ()
             if len(peers) < 2:
                 raise ValueError("super state needs two distinct vertices")
             v2 = peers[1]
@@ -285,10 +290,13 @@ _FIG8_NOTE = (
 
 def _dataset_fig8() -> tuple[list[str], list[list]]:
     header = ["family", "N", "class", "eta", "vertex_conn", "edge_conn", "algebraic_conn"]
-    rows = [
-        [r.family, r.n, r.vertex_class, r.eta, r.vertex_conn, r.edge_conn, r.algebraic_conn]
-        for r in correlation_table(_FIG8_INSTANCES)
-    ]
+    rows = []
+    for spec, labels in _FIG8_INSTANCES:  # each instance built and measured once
+        g = build(spec)
+        conn = [vertex_connectivity(g), edge_connectivity(g), algebraic_connectivity(g)]
+        for label in labels:
+            eta = efficiency_subspace(g, Localized(class_representative(g, label)))
+            rows.append([family_name(spec), g.n, label, eta, *conn])
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return header, rows
 

@@ -51,9 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import FamilySpec, Graph, build, family_name, laplacian
+from .graphs import Graph, laplacian
 from .numerics import sym_eig
-from .transport import Localized, class_representative, efficiency_subspace
 
 
 def _max_flow(
@@ -178,7 +177,7 @@ def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue."""
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return float(sym_eig(laplacian(g)).values[1])
+    return float(sym_eig(laplacian(g))[0][1])
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -193,7 +192,7 @@ def normalized_algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the degree-normalized Laplacian."""
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return float(sym_eig(normalized_laplacian(g)).values[1])
+    return float(sym_eig(normalized_laplacian(g))[0][1])
 
 
 @dataclass(frozen=True)
@@ -213,33 +212,3 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
         algebraic_conn=algebraic_connectivity(g),
         normalized_algebraic_conn=normalized_algebraic_connectivity(g),
     )
-
-
-@dataclass(frozen=True)
-class CorrelationRow:
-    """One (graph instance, vertex class) point of the efficiency-versus-
-    connectivity comparison."""
-
-    family: str
-    n: int
-    vertex_class: str
-    eta: float
-    vertex_conn: int
-    edge_conn: int
-    algebraic_conn: float
-
-
-def correlation_table(
-    instances: Sequence[tuple[FamilySpec, Sequence[str]]],
-) -> list[CorrelationRow]:
-    """Transport efficiency of a class representative next to the instance's
-    connectivity measures, one row per (instance, class) in input order;
-    each instance is built and measured once, for all of its labels."""
-    rows = []
-    for spec, labels in instances:
-        g = build(spec)
-        v, e, a = vertex_connectivity(g), edge_connectivity(g), algebraic_connectivity(g)
-        for label in labels:
-            eta = efficiency_subspace(g, 0, Localized(class_representative(g, label)))
-            rows.append(CorrelationRow(family_name(spec), g.n, label, eta, v, e, a))
-    return rows

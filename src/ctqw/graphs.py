@@ -23,6 +23,12 @@ import numpy as np
 Edge = tuple[int, int]
 
 
+# Merged class labels, each naming the union of classes that share every
+# transport property: the simplex's ``c`` and ``d``. Vertex lookups and the
+# closed-form records both read this table.
+MERGED_CLASSES: dict[str, tuple[str, ...]] = {"cd": ("c", "d")}
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with optional vertex-class labels.
@@ -109,9 +115,18 @@ class Graph:
             object.__setattr__(self, name, array)
 
     def class_vertices(self, label: str) -> tuple[int, ...]:
+        """Vertices carrying a class label, ascending. A label of
+        :data:`MERGED_CLASSES` (simplex ``cd``) names the union of its
+        classes, on a graph that has every one of them. Raises ValueError
+        when no vertex carries the label."""
         if self.classes is None:
             raise ValueError("graph has no class labels")
-        return tuple(v for v in range(self.n) if self.classes[v] == label)
+        parts = MERGED_CLASSES.get(label, ())
+        labels = parts if parts and set(parts) <= set(self.classes.values()) else (label,)
+        vs = tuple(v for v in range(self.n) if self.classes[v] in labels)
+        if not vs:
+            raise ValueError(f"no vertices with class {label!r}")
+        return vs
 
     def is_connected(self) -> bool:
         return self._connected
@@ -285,12 +300,6 @@ def build_joined_complete(half: int) -> Graph:
     classes.update({v: "a" for v in range(1, half - 1)})
     classes.update({v: "c" for v in range(half + 1, n)})
     return Graph(n, tuple(edges), classes)
-
-
-# Merged class labels, each naming the union of classes that share every
-# transport property: the simplex's ``c`` and ``d``. Vertex lookups and the
-# closed-form records both read this table.
-MERGED_CLASSES: dict[str, tuple[str, ...]] = {"cd": ("c", "d")}
 
 
 def build_simplex(m: int) -> Graph:

@@ -1,16 +1,17 @@
 """Dense numerical kernels.
 
-Six primitives back everything else in the package:
+Six primitives back everything else in the package. The trap is vertex 0,
+where every graph builder puts it, so the trap projector is |0><0|.
 
 * :func:`sym_eig` -- full eigendecomposition of a real symmetric matrix,
   or of a stack of them (LAPACK ``eigh``, ascending values, orthonormal
   vectors);
 * :func:`orthonormalize_against` -- tolerance-aware Gram-Schmidt step;
 * :func:`krylov_vectors` -- the invariant-subspace construction built on
-  it: the orthonormal Krylov rows of a symmetric matrix seeded at |w>;
+  it: the orthonormal Krylov rows of a symmetric matrix seeded at |0>;
 * :func:`evolve_trapped` -- fixed-step RK4 integration of the lossy
-  Schrodinger equation i d/dt psi = (L - i*kappa |w><w|) psi, accumulating
-  the absorbed probability 2*kappa*|<w|psi>|^2 dt by the trapezoid rule
+  Schrodinger equation i d/dt psi = (L - i*kappa |0><0|) psi, accumulating
+  the absorbed probability 2*kappa*|<0|psi>|^2 dt by the trapezoid rule
   with its Euler-Maclaurin end term. A run takes every step up to t_max
   and returns its end state. The equation is linear, so one RK4 step is one
   precomputed matrix P: binary doubling over the bits of the step count N
@@ -20,7 +21,7 @@ Six primitives back everything else in the package:
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
   and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
-  L - i*kappa |w><w| has lost all but 1e-8 of its weight, from the
+  L - i*kappa |0><0| has lost all but 1e-8 of its weight, from the
   eigenvalues of H on the trap's Krylov space, where every mode decays.
 """
 
@@ -32,25 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues in ascending order; column k of ``vectors`` pairs with
-    ``values[k]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 _SYMMETRY_TOL = 1e-12
 _KRYLOV_TOL = 1e-10  # relative residual at which a Krylov row counts as dependent
 
 
-def sym_eig(a: np.ndarray) -> EigenSystem:
-    """Full spectrum of a real symmetric matrix, or of each matrix in a stack
-    of shape (..., n, n), in one LAPACK ``eigh`` call.
+def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum ``(values, vectors)`` of a real symmetric matrix, or of
+    each matrix in a stack of shape (..., n, n), in one LAPACK ``eigh`` call.
 
-    Values come in ascending order with orthonormal eigenvector columns;
-    for a stack, ``values[k]`` and ``vectors[k]`` belong to ``a[k]``.
+    Values come in ascending order, and column k of ``vectors`` is the
+    orthonormal eigenvector of ``values[k]``; for a stack, ``values[k]`` and
+    ``vectors[k]`` belong to ``a[k]``.
     Raises ValueError if the input is not square, or if any matrix is not
     symmetric within 1e-12 relative to max(1, its largest entry); the
     symmetric part is what gets decomposed.
@@ -62,8 +55,7 @@ def sym_eig(a: np.ndarray) -> EigenSystem:
     scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
     if np.any(np.abs(a - at).max(axis=(-2, -1), initial=0.0) > _SYMMETRY_TOL * scale):
         raise ValueError("matrix is not symmetric")
-    values, vectors = np.linalg.eigh((a + at) / 2.0)
-    return EigenSystem(values=values, vectors=vectors)
+    return np.linalg.eigh((a + at) / 2.0)
 
 
 def orthonormalize_against(
@@ -97,14 +89,14 @@ def _sign(v: np.ndarray) -> float:
     return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
 
 
-def krylov_vectors(a: np.ndarray, w: int) -> np.ndarray:
+def krylov_vectors(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows, signed by :func:`_sign`, spanning the smallest
-    subspace that contains |w> and is invariant under the real symmetric
+    subspace that contains |0> and is invariant under the real symmetric
     matrix `a`: applies `a` to the newest row and orthonormalizes against
     all previous ones, stopping at the first linear dependence (a residual
     below 1e-10 of the new row's norm)."""
     e1 = np.zeros(len(a))
-    e1[w] = 1.0
+    e1[0] = 1.0
     vectors = [e1]
     while len(vectors) <= len(a):
         nxt = orthonormalize_against(a @ vectors[-1], np.asarray(vectors), _KRYLOV_TOL)
@@ -147,24 +139,21 @@ _HORIZON_SURVIVAL = 1e-8
 _DARK_RATE_TOL = 1e-12
 
 
-def _trapped_hamiltonian(l: np.ndarray, w: int, kappa: float) -> np.ndarray:
-    """L - i*kappa |w><w| as a dense complex matrix, for kappa >= 0."""
+def _trapped_hamiltonian(l: np.ndarray, kappa: float) -> np.ndarray:
+    """L - i*kappa |0><0| as a dense complex matrix, for kappa >= 0."""
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     h = np.array(l, dtype=complex)
-    n = h.shape[0]
-    if h.ndim != 2 or h.shape[1] != n:
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("laplacian must be square")
-    if not 0 <= w < n:
-        raise ValueError(f"trap vertex {w} out of range")
-    h[w, w] -= 1j * kappa
+    h[0, 0] -= 1j * kappa
     return h
 
 
 def decay_horizon(h: np.ndarray, l: np.ndarray) -> float:
-    """Time at which the slowest decaying mode of H = L - i*kappa |w><w|
+    """Time at which the slowest decaying mode of H = L - i*kappa |0><0|
     keeps 1e-8 of its weight: ln(1e8) / (2 * gamma_min), gamma_min being
-    the smallest rate -Im(lambda) of `h`, H on the Krylov space of L at w
+    the smallest rate -Im(lambda) of `h`, H on the Krylov space of L at 0
     (:func:`~ctqw.reduction.reduced_hamiltonian`). H maps that space into
     itself, and every mode there reaches the trap. Raises UnstableStepError
     when gamma_min is no larger than the roundoff floor
@@ -200,7 +189,6 @@ def rk4_step(l: np.ndarray, kappa: float, t_max: float) -> float:
 
 def evolve_trapped(
     l: np.ndarray,
-    w: int,
     kappa: float,
     psi0: np.ndarray,
     dt: float,
@@ -210,16 +198,16 @@ def evolve_trapped(
     nsteps = round(t_max / dt) steps; there is no early stop, and a run of
     0 steps returns psi0 with nothing absorbed.
 
-    The right-hand side is G psi with G = -i (L - i*kappa |w><w|). The
-    absorbed probability accumulates the flux f = 2*kappa*|<w|psi>|^2 by
+    The right-hand side is G psi with G = -i (L - i*kappa |0><0|). The
+    absorbed probability accumulates the flux f = 2*kappa*|<0|psi>|^2 by
     the trapezoid rule over every step, plus the Euler-Maclaurin end term
     -dt^2/12 * (f'(t_final) - f'(0)), with
-    f' = 4*kappa*Re(conj(psi_w) * (G psi)_w). The trapezoid rule alone errs
+    f' = 4*kappa*Re(conj(psi_0) * (G psi)_0). The trapezoid rule alone errs
     by about (dt*kappa)^2 / 3 on a state that starts on the trap; with the
     end term, absorbed + ||psi||^2 stays within integration error of 1.
 
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
-    which equals the four-stage update exactly. With Q = 2*kappa |w><w|, the
+    which equals the four-stage update exactly. With Q = 2*kappa |0><0|, the
     flux summed over the first N steps is psi0^H S_N psi0, where
     S_N = sum_{j<N} (P^j)^H Q P^j. The pair (P^N - I, S_N) is built by
     binary doubling over the bits of N, so a run costs O(log N) matrix
@@ -227,7 +215,7 @@ def evolve_trapped(
     spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies outside
     the RK4 stability region, or when t_max / dt exceeds 2^40 steps.
     """
-    h = _trapped_hamiltonian(l, w, kappa)
+    h = _trapped_hamiltonian(l, kappa)
     n = h.shape[0]
     if not (dt > 0 and t_max > 0 and math.isfinite(t_max / dt)):
         raise ValueError("dt and t_max must be positive, with a finite ratio")
@@ -263,7 +251,7 @@ def evolve_trapped(
     # itself would round them against the identity (about 2^40 * eps after
     # 2^40 steps).
     q = np.zeros_like(z)
-    q[w, w] = 2.0 * kappa
+    q[0, 0] = 2.0 * kappa
     d, flux_sum = delta, q
     for bit in bin(nsteps)[3:]:
         p = eye + d
@@ -275,8 +263,8 @@ def evolve_trapped(
             d = d + delta + d @ delta
 
     ends = np.stack([psi, psi + d @ psi])
-    flux = 2.0 * kappa * np.abs(ends[:, w]) ** 2
-    slope = 4.0 * kappa * (ends[:, w].conj() * (ends @ z[w])).real  # dt * f'
+    flux = 2.0 * kappa * np.abs(ends[:, 0]) ** 2
+    slope = 4.0 * kappa * (ends[:, 0].conj() * (ends @ z[0])).real  # dt * f'
     # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{N-1} + f_N/2), plus the
     # Euler-Maclaurin end term -dt^2/12 * (f'(t_N) - f'(0))
     absorbed = (

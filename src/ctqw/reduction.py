@@ -1,12 +1,12 @@
 """Invariant-subspace reduction of walk Hamiltonians.
 
-Starting from the trap vertex, repeatedly applying the Laplacian and
-orthonormalizing spans the smallest subspace that is invariant under the
-walk and contains the trap. The trap term -i*kappa |w><w| maps everything
-into span{|w>}, so seeding with |w> makes the L-generated and H-generated
-subspaces identical and the construction can stay in real arithmetic.
-In this basis the Hamiltonian is tridiagonal, with -i*kappa added at the
-top-left entry only.
+Starting from the trap vertex 0, where every builder puts it, repeatedly
+applying the Laplacian and orthonormalizing spans the smallest subspace
+that is invariant under the walk and contains the trap. The trap term
+-i*kappa |0><0| maps everything into span{|0>}, so seeding with |0> makes
+the L-generated and H-generated subspaces identical and the construction
+can stay in real arithmetic. In this basis the Hamiltonian is tridiagonal,
+with -i*kappa added at the top-left entry only.
 
 Each family's closed forms sit in one :class:`ClosedForms` record from
 :data:`CLOSED_FORMS`: the analytic basis and reduced Hamiltonian (an
@@ -83,23 +83,22 @@ class SubspaceBasis:
         return float(np.sum(np.abs(amps) ** 2))
 
 
-def krylov_basis(g: Graph, w: int = 0) -> SubspaceBasis:
+def krylov_basis(g: Graph) -> SubspaceBasis:
     """Iterative orthonormal basis of the walk-invariant subspace seeded at
-    w: the Krylov rows of the Laplacian (:func:`~ctqw.numerics.krylov_vectors`),
-    which stop at the first linear dependence."""
-    if not 0 <= w < g.n:
-        raise ValueError(f"vertex {w} out of range")
-    return SubspaceBasis(krylov_vectors(laplacian(g), w))
+    the trap: the Krylov rows of the Laplacian
+    (:func:`~ctqw.numerics.krylov_vectors`), which stop at the first linear
+    dependence."""
+    return SubspaceBasis(krylov_vectors(laplacian(g)))
 
 
 def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndarray:
-    """Project the trapped Hamiltonian L - i*kappa |w><w| onto `basis`; entry
-    (0, 0) carries the -i*kappa trap term (the basis must start with |w>)."""
+    """Project the trapped Hamiltonian L - i*kappa |0><0| onto `basis`; entry
+    (0, 0) carries the -i*kappa trap term (the basis must start with |0>)."""
     if basis.ambient != g.n:
         raise ValueError(
             f"basis ambient dimension {basis.ambient} does not match graph order {g.n}"
         )
-    return _trapped_hamiltonian(basis.vectors @ laplacian(g) @ basis.vectors.T, 0, kappa)
+    return _trapped_hamiltonian(basis.vectors @ laplacian(g) @ basis.vectors.T, kappa)
 
 
 # --- closed-form references ------------------------------------------------------
@@ -327,7 +326,7 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     h = np.diag(np.asarray(forms.diag, dtype=float))
     for i, x in enumerate(forms.off):
         h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]
-    return _trapped_hamiltonian(h, 0, kappa)
+    return _trapped_hamiltonian(h, kappa)
 
 
 def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> bool:

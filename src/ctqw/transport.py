@@ -1,8 +1,8 @@
 """Transport efficiency toward a single absorbing trap.
 
 The efficiency eta is the probability that a walker started in ``psi0`` is
-eventually absorbed at the trap vertex w. Four independent routes compute
-it:
+eventually absorbed at the trap, vertex 0 of every built graph. Four
+independent routes compute it, each from an :data:`InitialState`:
 
 * subspace overlap: eta = sum_k |<e_k|psi0>|^2 over the iterative basis of
   the trap-seeded invariant subspace (:func:`efficiency_subspace`);
@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .graphs import MERGED_CLASSES, FamilySpec, Graph, laplacian
+from .graphs import FamilySpec, Graph, laplacian
 from .numerics import _sign, decay_horizon, evolve_trapped, rk4_step, sym_eig
 from .reduction import SubspaceBasis, closed_forms, krylov_basis, reduced_hamiltonian
 
@@ -66,12 +66,10 @@ class Explicit:
 InitialState = Union[Localized, Superposition, Explicit]
 
 
-def _as_vector(psi0: InitialState | np.ndarray, n: int) -> np.ndarray:
-    return psi0 if isinstance(psi0, np.ndarray) else initial_state_vector(psi0, n)
-
-
 def initial_state_vector(state: InitialState, n: int) -> np.ndarray:
-    """Materialize an initial-state description as a unit complex vector."""
+    """Materialize an initial-state description as a unit complex vector;
+    anything but an :data:`InitialState`, a raw array among them, raises
+    ValueError."""
     psi = np.zeros(n, dtype=complex)
     if isinstance(state, Localized):
         if not 0 <= state.v < n:
@@ -87,31 +85,17 @@ def initial_state_vector(state: InitialState, n: int) -> np.ndarray:
         if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
             raise ValueError("explicit state must be normalized")
     else:
-        raise ValueError(f"unknown initial state {state!r}")
+        raise ValueError(f"unknown initial state type {type(state).__name__}")
     return psi
 
 
-def class_vertices(g: Graph, label: str) -> tuple[int, ...]:
-    """Vertices carrying a class label. A label of
-    :data:`~ctqw.graphs.MERGED_CLASSES` (simplex ``cd``) names the union of
-    its classes, on a graph that has every one of them."""
-    parts = [g.class_vertices(part) for part in MERGED_CLASSES.get(label, ())]
-    if parts and all(parts):
-        vs = tuple(sorted(v for part in parts for v in part))
-    else:
-        vs = g.class_vertices(label)
-    if not vs:
-        raise ValueError(f"no vertices with class {label!r}")
-    return vs
-
-
 def class_representative(g: Graph, label: str) -> int:
-    return class_vertices(g, label)[0]
+    return g.class_vertices(label)[0]
 
 
 def class_uniform_state(g: Graph, label: str) -> np.ndarray:
     """Equal real superposition of all vertices in a class."""
-    vs = class_vertices(g, label)
+    vs = g.class_vertices(label)
     psi = np.zeros(g.n, dtype=complex)
     psi[list(vs)] = 1.0 / math.sqrt(len(vs))
     return psi
@@ -120,36 +104,34 @@ def class_uniform_state(g: Graph, label: str) -> np.ndarray:
 # --- the four routes ---------------------------------------------------------------
 
 
-def efficiency_subspace(g: Graph, w: int, psi0: InitialState | np.ndarray) -> float:
+def efficiency_subspace(g: Graph, psi0: InitialState) -> float:
     """Overlap of the initial state with the trap-seeded invariant subspace."""
-    basis = krylov_basis(g, w)
-    return basis.overlap(_as_vector(psi0, g.n))
+    basis = krylov_basis(g)
+    return basis.overlap(initial_state_vector(psi0, g.n))
 
 
 _DEGENERACY_TOL = 1e-8
 
 
-def lambda_subspace(g: Graph, w: int = 0) -> SubspaceBasis:
+def lambda_subspace(g: Graph) -> SubspaceBasis:
     """Span of the Laplacian eigenvectors with nonzero trap overlap.
 
     Eigenvalues are grouped when equal within 1e-8 relative to max(1,
-    spectral range); from each group the normalized projection of |w> is
-    kept whenever its norm exceeds 1e-8. The remainder of a degenerate
-    eigenspace is orthogonal to |w> by construction, so one vector per
-    group suffices.
+    spectral range); from each group the normalized projection of the
+    trap's |0> is kept whenever its norm exceeds 1e-8. The remainder of a
+    degenerate eigenspace is orthogonal to |0> by construction, so one
+    vector per group suffices.
     """
-    if not 0 <= w < g.n:
-        raise ValueError(f"vertex {w} out of range")
-    es = sym_eig(laplacian(g))
-    spread = float(es.values[-1] - es.values[0])
+    values, vectors = sym_eig(laplacian(g))
+    spread = float(values[-1] - values[0])
     gap_tol = _DEGENERACY_TOL * max(1.0, spread)
     collected = []
     start = 0
     for stop in range(1, g.n + 1):
-        if stop < g.n and es.values[stop] - es.values[stop - 1] <= gap_tol:
+        if stop < g.n and values[stop] - values[stop - 1] <= gap_tol:
             continue
-        block = es.vectors[:, start:stop]
-        amps = block[w, :]
+        block = vectors[:, start:stop]
+        amps = block[0, :]
         weight = float(np.linalg.norm(amps))
         if weight > _DEGENERACY_TOL:
             v = block @ (amps / weight)
@@ -158,27 +140,26 @@ def lambda_subspace(g: Graph, w: int = 0) -> SubspaceBasis:
     return SubspaceBasis(np.asarray(collected))
 
 
-def efficiency_lambda(g: Graph, w: int, psi0: InitialState | np.ndarray) -> float:
+def efficiency_lambda(g: Graph, psi0: InitialState) -> float:
     """Overlap of the initial state with the trap-visible eigenvector span."""
-    basis = lambda_subspace(g, w)
-    return basis.overlap(_as_vector(psi0, g.n))
+    basis = lambda_subspace(g)
+    return basis.overlap(initial_state_vector(psi0, g.n))
 
 
 def efficiency_dynamic(
-    g: Graph, basis: SubspaceBasis, psi0: InitialState | np.ndarray, kappa: float
+    g: Graph, basis: SubspaceBasis, psi0: InitialState, kappa: float
 ) -> tuple[float, float]:
     """Brute-force oracle: integrate the lossy dynamics with trap rate
-    `kappa` at the vertex w whose |w> starts the trap's Krylov `basis`, and
-    report (integrated trapping probability, lost norm). The run ends at
-    :func:`decay_horizon` of the reduced Hamiltonian and steps at
-    :func:`rk4_step` for that length."""
+    `kappa` at vertex 0, and report (integrated trapping probability, lost
+    norm). The run ends at :func:`decay_horizon` of the Hamiltonian reduced
+    to the trap's Krylov `basis` and steps at :func:`rk4_step` for that
+    length."""
     if not kappa > 0:
         raise ValueError("dynamic efficiency needs kappa > 0")
-    psi = _as_vector(psi0, g.n)
+    psi = initial_state_vector(psi0, g.n)
     l = laplacian(g)
-    w = int(np.argmax(basis.vectors[0]))
     t_max = decay_horizon(reduced_hamiltonian(basis, g, kappa), l)
-    ev = evolve_trapped(l, w, kappa, psi, dt=rk4_step(l, kappa, t_max), t_max=t_max)
+    ev = evolve_trapped(l, kappa, psi, dt=rk4_step(l, kappa, t_max), t_max=t_max)
     survival = float(np.linalg.norm(ev.psi) ** 2)
     return ev.absorbed, 1.0 - survival
 
@@ -257,10 +238,9 @@ def efficiency_report(
     ran is compared with the subspace route, and m with the size of the
     family's analytic reduced Hamiltonian, when it has one.
     """
-    basis = krylov_basis(g, 0)
-    psi = initial_state_vector(psi0, g.n)
+    basis = krylov_basis(g)
     eta = dict.fromkeys(("subspace", *ROUTE_TOLERANCES))
-    eta["subspace"] = basis.overlap(psi)
+    eta["subspace"] = basis.overlap(initial_state_vector(psi0, g.n))
 
     forms = closed_forms(spec)
     if isinstance(psi0, Localized):
@@ -274,9 +254,9 @@ def efficiency_report(
             eta["closed_form"] = superposition_rule(eta_class, psi0.theta)
 
     if oracle:
-        eta["lambda"] = efficiency_lambda(g, 0, psi)
+        eta["lambda"] = efficiency_lambda(g, psi0)
         eta["dynamic_absorbed"], eta["dynamic_survival"] = efficiency_dynamic(
-            g, basis, psi, kappa
+            g, basis, psi0, kappa
         )
 
     disagreements = [
@@ -302,7 +282,6 @@ __all__ = [
     "UnsupportedCaseError",
     "class_representative",
     "class_uniform_state",
-    "class_vertices",
     "efficiency_closed_form",
     "efficiency_dynamic",
     "efficiency_lambda",

@@ -244,12 +244,14 @@ def _integer_char_poly_roots(m: np.ndarray) -> np.ndarray:
 
 
 def rk4_trapped_reference(
-    l: np.ndarray, w: int, kappa: float, psi0: np.ndarray, dt: float, t_max: float
+    l: np.ndarray, kappa: float, psi0: np.ndarray, dt: float, t_max: float
 ) -> dict:
-    """Step-by-step classical RK4 of i psi' = (L - i*kappa |w><w|) psi with
-    the trapezoid rule on the trap flux f = 2*kappa*|psi_w|^2: four matvecs
-    per step over all ``round(t_max / dt)`` steps, plus the Euler-Maclaurin
-    end term -dt^2/12 * (f'(t_final) - f'(0))."""
+    """Step-by-step classical RK4 of i psi' = (L - i*kappa |w><w|) psi, the
+    trap w being vertex 0, with the trapezoid rule on the trap flux
+    f = 2*kappa*|psi_w|^2: four matvecs per step over all
+    ``round(t_max / dt)`` steps, plus the Euler-Maclaurin end term
+    -dt^2/12 * (f'(t_final) - f'(0))."""
+    w = 0
     generator = -1j * np.asarray(l, dtype=complex)
     generator[w, w] += -kappa
     psi = np.asarray(psi0, dtype=complex).copy()
@@ -277,16 +279,16 @@ def rk4_trapped_reference(
     }
 
 
-def dense_decay_horizon(l: np.ndarray, w: int, kappa: float) -> float:
+def dense_decay_horizon(l: np.ndarray, kappa: float) -> float:
     """ln(1e8) / (2 * gamma_min) from the eigenvalues of the dense n x n
-    H = L - i*kappa |w><w|. Exactly m modes of H decay, m being the Krylov
-    dimension of L at w; the others are dark and never reach the trap, so
-    gamma_min is the smallest of the m largest rates -Im(lambda). Raises
-    UnstableStepError when it is no larger than a dark mode's roundoff,
-    1e-12 * max(1, ||L||_F)."""
+    H = L - i*kappa |w><w|, the trap w being vertex 0. Exactly m modes of H
+    decay, m being the Krylov dimension of L at w; the others are dark and
+    never reach the trap, so gamma_min is the smallest of the m largest
+    rates -Im(lambda). Raises UnstableStepError when it is no larger than a
+    dark mode's roundoff, 1e-12 * max(1, ||L||_F)."""
     h = np.array(l, dtype=complex)
-    h[w, w] -= 1j * kappa
-    m = len(krylov_vectors(h.real, w))
+    h[0, 0] -= 1j * kappa
+    m = len(krylov_vectors(h.real))
     rates = np.sort(-np.linalg.eigvals(h).imag)[-m:]
     floor = 1e-12 * max(1.0, float(np.linalg.norm(h.real)))
     if not rates[0] > floor:

@@ -24,11 +24,11 @@ from ctqw import (
     class_uniform_state,
     closed_form_reduced_hamiltonian,
     connectivity_report,
-    correlation_table,
     efficiency_closed_form,
     efficiency_dynamic,
     efficiency_subspace,
     evolve_trapped,
+    family_name,
     krylov_basis,
     lambda_subspace,
     laplacian,
@@ -135,7 +135,7 @@ def test_criterion_3_closed_form_agreement():
         g = build(spec)
         localized, pairs = _covered_combinations(spec)
         for label in localized:
-            got = efficiency_subspace(g, 0, Localized(class_representative(g, label)))
+            got = efficiency_subspace(g, Localized(class_representative(g, label)))
             want = efficiency_closed_form(spec, label)
             if abs(got - want) > 1e-12:
                 failures.append(f"{spec} {label}: |{got}-{want}|")
@@ -143,7 +143,7 @@ def test_criterion_3_closed_form_agreement():
             v1 = class_representative(g, c1)
             v2 = class_representative(g, c2)
             for theta in THETAS:
-                got = efficiency_subspace(g, 0, Superposition(v1, v2, theta))
+                got = efficiency_subspace(g, Superposition(v1, v2, theta))
                 want = efficiency_closed_form(spec, c1, c2, theta)
                 if abs(got - want) > 1e-12:
                     failures.append(f"{spec} ({c1},{c2}) theta={theta}: |{got}-{want}|")
@@ -169,9 +169,9 @@ def test_criterion_4_eigenvector_span_equals_iterative_span():
 
 def _dynamics_case(spec, psi):
     g = build(spec)
-    eta_sub = efficiency_subspace(g, 0, Explicit(psi))
+    eta_sub = efficiency_subspace(g, Explicit(psi))
     start = time.perf_counter()
-    ev = evolve_trapped(laplacian(g), 0, 1.0, psi, dt=1e-3, t_max=500.0)
+    ev = evolve_trapped(laplacian(g), 1.0, psi, dt=1e-3, t_max=500.0)
     elapsed = time.perf_counter() - start
     eta_absorbed = ev.absorbed
     eta_survival = 1.0 - float(np.linalg.norm(ev.psi) ** 2)
@@ -239,12 +239,17 @@ def test_criterion_6_connectivity_table():
 
 
 def test_criterion_7_efficiency_connectivity_dataset():
-    from ctqw.cli import _FIG8_INSTANCES
+    from ctqw.cli import _FIG8_INSTANCES, _dataset_fig8
 
     failures = []
     points = [(spec, label) for spec, labels in _FIG8_INSTANCES for label in labels]
-    rows = correlation_table(_FIG8_INSTANCES)
-    for (spec, label), row in zip(points, rows):
+    header, table = _dataset_fig8()
+    # the sweep sorts its rows: find each by (family, N, class)
+    rows = {tuple(r[:3]): dict(zip(header, r)) for r in table}
+    if not len(rows) == len(table) == len(points):
+        failures.append(f"{len(table)} rows for {len(points)} points")
+    for spec, label in points:
+        row = rows[family_name(spec), build(spec).n, label]
         if isinstance(spec, Complete):
             eta = 1.0 / (spec.n - 1)
             v = e = spec.n - 1
@@ -264,12 +269,13 @@ def test_criterion_7_efficiency_connectivity_dataset():
             else:
                 v = e = spec.m
                 a = 1.0
-        if abs(row.eta - eta) > 1e-12:
-            failures.append(f"{spec} {label}: eta {row.eta} vs {eta}")
-        if (row.vertex_conn, row.edge_conn) != (v, e):
-            failures.append(f"{spec}: conn {(row.vertex_conn, row.edge_conn)} vs {(v, e)}")
-        if abs(row.algebraic_conn - a) > 1e-9:
-            failures.append(f"{spec}: a(G) {row.algebraic_conn} vs {a}")
+        if abs(row["eta"] - eta) > 1e-12:
+            failures.append(f"{spec} {label}: eta {row['eta']} vs {eta}")
+        conn = (row["vertex_conn"], row["edge_conn"])
+        if conn != (v, e):
+            failures.append(f"{spec}: conn {conn} vs {(v, e)}")
+        if abs(row["algebraic_conn"] - a) > 1e-9:
+            failures.append(f"{spec}: a(G) {row['algebraic_conn']} vs {a}")
     # Whitney and Fiedler inequalities on every instance in the dataset
     for spec, _labels in _FIG8_INSTANCES:
         g = build(spec)
@@ -291,7 +297,7 @@ def test_criterion_8_property_suites():
     psi = np.zeros(g.n, dtype=complex)
     psi[1] = 1.0
     norms = [1.0] + [
-        np.linalg.norm(evolve_trapped(laplacian(g), 0, 1.0, psi, dt=0.02, t_max=0.02 * k).psi)
+        np.linalg.norm(evolve_trapped(laplacian(g), 1.0, psi, dt=0.02, t_max=0.02 * k).psi)
         for k in range(1, 251)
     ]
     if not np.all(np.diff(norms) <= 1e-12):
@@ -320,7 +326,7 @@ def test_criterion_8_property_suites():
         for other in ("a", "b", "c", "d", "f"):
             rep = class_representative(g, other)
             vals = [
-                efficiency_subspace(g, 0, Superposition(rep, e_rep, theta))
+                efficiency_subspace(g, Superposition(rep, e_rep, theta))
                 for theta in (0.0, math.pi / 3, math.pi, 1.5 * math.pi)
             ]
             if max(vals) - min(vals) > 1e-12:

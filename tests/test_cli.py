@@ -324,7 +324,7 @@ def _truncate_krylov_basis(monkeypatch):
     monkeypatch.setattr(
         transport,
         "krylov_basis",
-        lambda g, w=0: reduction.SubspaceBasis(reduction.krylov_basis(g, w).vectors[:1]),
+        lambda g: reduction.SubspaceBasis(reduction.krylov_basis(g).vectors[:1]),
     )
 
 
@@ -361,9 +361,9 @@ def test_oracle_request_builds_the_krylov_rows_once(capsys, monkeypatch):
     # subspace route built; count calls through every binding of the name
     original, calls = numerics.krylov_vectors, []
 
-    def counted(a, w):
-        calls.append(w)
-        return original(a, w)
+    def counted(a):
+        calls.append(len(a))
+        return original(a)
 
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "ctqw"]
     for module in modules:
@@ -375,7 +375,7 @@ def test_oracle_request_builds_the_krylov_rows_once(capsys, monkeypatch):
         capsys, "efficiency", "jcg", "--half", "6", "--state", "class:b1", "--oracle"
     )
     assert code == 0
-    assert calls == [0]
+    assert calls == [12]
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["subspace", "oracle"])

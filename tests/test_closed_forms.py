@@ -17,7 +17,6 @@ from ctqw import (
     Superposition,
     UnsupportedCaseError,
     build,
-    class_vertices,
     efficiency_closed_form,
     efficiency_report,
     efficiency_subspace,
@@ -61,7 +60,7 @@ def _pair_vertices(g, label1, label2):
     """Two distinct vertices of the given classes, as ``super:`` picks them;
     None when the classes do not hold two."""
     try:
-        vs1, vs2 = class_vertices(g, label1), class_vertices(g, label2)
+        vs1, vs2 = g.class_vertices(label1), g.class_vertices(label2)
     except ValueError:
         return None
     v2 = next((v for v in vs2 if v != vs1[0]), None)
@@ -79,8 +78,8 @@ def test_closed_forms_inventory(spec):
         except UnsupportedCaseError:
             continue
         supported.append(label)
-        state = Localized(class_vertices(g, label)[0])
-        got = efficiency_subspace(g, 0, state)
+        state = Localized(g.class_vertices(label)[0])
+        got = efficiency_subspace(g, state)
         assert abs(got - want) <= 1e-12, (label, got, want)
         assert efficiency_report(spec, g, state).eta["closed_form"] == want, label
     for i, label1 in enumerate(labels):
@@ -96,7 +95,7 @@ def test_closed_forms_inventory(spec):
                 assert efficiency_closed_form(spec, label2, label1, theta) == want
                 assert vertices is not None, (label1, label2)
                 state = Superposition(*vertices, theta)
-                got = efficiency_subspace(g, 0, state)
+                got = efficiency_subspace(g, state)
                 assert abs(got - want) <= 1e-12, (label1, label2, theta, got, want)
                 report = efficiency_report(spec, g, state)
                 assert report.eta["closed_form"] == want, (label1, label2, theta)

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from ctqw import (
-    Complete,
     CompleteBipartite,
     Graph,
     JoinedComplete,
-    PaleyPrime,
     Petersen,
     Rook,
-    Simplex,
     algebraic_connectivity,
     build,
     build_complete,
@@ -23,7 +20,6 @@ from ctqw import (
     build_rook,
     build_simplex,
     connectivity_report,
-    correlation_table,
     edge_connectivity,
     normalized_algebraic_connectivity,
     normalized_laplacian,
@@ -371,29 +367,6 @@ def test_zero_eigenvalue_multiplicity_counts_components():
     lap = np.diag(stripped.adjacency.sum(axis=1)) - stripped.adjacency
     vals = np.sort(np.linalg.eigvalsh(lap))
     assert np.sum(np.abs(vals) < 1e-9) == m + 1
-
-
-def test_correlation_table_srg_rows():
-    rows = correlation_table([(PaleyPrime(13), ("a", "b"))])
-    assert all(r.eta == pytest.approx(1 / 6, abs=1e-12) for r in rows)
-    assert all(r.vertex_conn == r.edge_conn == 6 for r in rows)
-
-
-def test_correlation_table_complete_rows():
-    rows = correlation_table([(Complete(n), ("a",)) for n in (6, 8, 10, 12)])
-    for row, n in zip(rows, (6, 8, 10, 12)):
-        assert row.eta == pytest.approx(1 / (n - 1), abs=1e-12)
-        assert row.vertex_conn == row.edge_conn == n - 1
-        assert row.algebraic_conn == pytest.approx(n, abs=1e-9)
-
-
-def test_correlation_table_simplex_rows():
-    labels = ("a", "b", "cd", "e", "f")
-    rows = correlation_table([(Simplex(3), labels)])
-    expected = {"a": 7 / 18, "b": 5 / 9, "cd": 2 / 9, "e": 1 / 2, "f": 7 / 18}
-    for row in rows:
-        assert row.eta == pytest.approx(expected[row.vertex_class], abs=1e-12)
-        assert row.algebraic_conn == pytest.approx(1.0, abs=1e-9)
 
 
 def test_connectivity_report_fields():

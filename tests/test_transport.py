@@ -20,7 +20,6 @@ from ctqw import (
     build,
     class_representative,
     class_uniform_state,
-    class_vertices,
     efficiency_closed_form,
     efficiency_dynamic,
     efficiency_lambda,
@@ -38,21 +37,21 @@ from ctqw import (
 def test_trap_state_has_unit_efficiency():
     for spec in (Complete(5), CompleteBipartite(4, 3), Simplex(3)):
         g = build(spec)
-        assert efficiency_subspace(g, 0, Localized(0)) == pytest.approx(1.0, abs=1e-12)
+        assert efficiency_subspace(g, Localized(0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_localized_examples():
     g = build(CompleteBipartite(8, 4))
-    assert efficiency_subspace(g, 0, Localized(1)) == pytest.approx(1 / 7, abs=1e-12)
-    assert efficiency_subspace(g, 0, Localized(8)) == pytest.approx(1 / 4, abs=1e-12)
+    assert efficiency_subspace(g, Localized(1)) == pytest.approx(1 / 7, abs=1e-12)
+    assert efficiency_subspace(g, Localized(8)) == pytest.approx(1 / 4, abs=1e-12)
     g = build(Simplex(5))
     b = class_representative(g, "b")
-    assert efficiency_subspace(g, 0, Localized(b)) == pytest.approx(17 / 25, abs=1e-12)
+    assert efficiency_subspace(g, Localized(b)) == pytest.approx(17 / 25, abs=1e-12)
     g = build(JoinedComplete(6))
-    assert efficiency_subspace(g, 0, Localized(1)) == pytest.approx(11 / 49, abs=1e-12)
-    assert efficiency_subspace(g, 0, Localized(5)) == pytest.approx(29 / 49, abs=1e-12)
-    assert efficiency_subspace(g, 0, Localized(6)) == pytest.approx(29 / 49, abs=1e-12)
-    assert efficiency_subspace(g, 0, Localized(7)) == pytest.approx(9 / 49, abs=1e-12)
+    assert efficiency_subspace(g, Localized(1)) == pytest.approx(11 / 49, abs=1e-12)
+    assert efficiency_subspace(g, Localized(5)) == pytest.approx(29 / 49, abs=1e-12)
+    assert efficiency_subspace(g, Localized(6)) == pytest.approx(29 / 49, abs=1e-12)
+    assert efficiency_subspace(g, Localized(7)) == pytest.approx(9 / 49, abs=1e-12)
 
 
 def test_closed_form_localized_values():
@@ -103,7 +102,7 @@ def test_lambda_subspace_complete_graph():
         g = build(Complete(n))
         lam = lambda_subspace(g)
         assert lam.m == 2
-        assert efficiency_lambda(g, 0, Localized(1)) == pytest.approx(
+        assert efficiency_lambda(g, Localized(1)) == pytest.approx(
             1 / (n - 1), abs=1e-9
         )
 
@@ -122,14 +121,14 @@ def test_jcg_bridge_antisymmetric_state_is_fully_absorbed():
     psi = np.zeros(12, dtype=complex)
     psi[5] = 1 / math.sqrt(2)
     psi[6] = -1 / math.sqrt(2)
-    assert efficiency_subspace(g, 0, Explicit(psi)) == pytest.approx(1.0, abs=1e-12)
+    assert efficiency_subspace(g, Explicit(psi)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_e_uniform_state_is_fully_absorbed():
     for m in (3, 4, 5):
         g = build(Simplex(m))
         assert efficiency_subspace(
-            g, 0, Explicit(class_uniform_state(g, "e"))
+            g, Explicit(class_uniform_state(g, "e"))
         ) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -139,7 +138,7 @@ def test_theta_independence_for_e_superpositions():
     for other in ("a", "b", "cd", "f"):
         rep = class_representative(g, other)
         values = [
-            efficiency_subspace(g, 0, Superposition(rep, e_rep, theta))
+            efficiency_subspace(g, Superposition(rep, e_rep, theta))
             for theta in (0.0, math.pi / 3, math.pi, 3 * math.pi / 2)
         ]
         assert max(values) - min(values) <= 1e-12
@@ -162,7 +161,7 @@ def test_membership_and_orthogonality_randomized():
             coeff = rng.standard_normal(basis.m) + 1j * rng.standard_normal(basis.m)
             inside = basis.vectors.T @ coeff
             inside /= np.linalg.norm(inside)
-            assert efficiency_subspace(g, 0, Explicit(inside)) == pytest.approx(
+            assert efficiency_subspace(g, Explicit(inside)) == pytest.approx(
                 1.0, abs=1e-12
             )
             raw = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
@@ -171,7 +170,7 @@ def test_membership_and_orthogonality_randomized():
             if norm < 1e-9:
                 continue
             outside /= norm
-            assert efficiency_subspace(g, 0, Explicit(outside)) == pytest.approx(
+            assert efficiency_subspace(g, Explicit(outside)) == pytest.approx(
                 0.0, abs=1e-12
             )
 
@@ -223,7 +222,7 @@ _KAPPA_SWEEP = [
 def test_dynamic_oracle_kappa_sweep_at_default_horizon(spec, where, kappa):
     g = build(spec)
     v = int(where) if where.isdigit() else class_representative(g, where)
-    eta = efficiency_subspace(g, 0, Localized(v))
+    eta = efficiency_subspace(g, Localized(v))
     absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(v), kappa)
     assert absorbed == pytest.approx(eta, abs=1e-7)
     assert survival == pytest.approx(eta, abs=1e-7)
@@ -248,12 +247,33 @@ def test_initial_state_vector():
         initial_state_vector(Explicit(np.array([1.0, 1.0, 0.0, 0.0])), 4)
 
 
+@pytest.mark.parametrize("route", ["subspace", "lambda", "dynamic"])
+def test_routes_take_only_initial_states(route):
+    # a raw 2|5> on JoinedComplete(6) once read eta = 2.367 on the subspace
+    # and lambda routes; every route now materializes an InitialState, and
+    # Explicit checks the norm
+    g = build(JoinedComplete(6))
+    run = {
+        "subspace": lambda state: efficiency_subspace(g, state),
+        "lambda": lambda state: efficiency_lambda(g, state),
+        "dynamic": lambda state: efficiency_dynamic(g, krylov_basis(g), state, 1.0),
+    }[route]
+    psi = np.zeros(g.n, dtype=complex)
+    psi[5] = 2.0
+    with pytest.raises(ValueError, match="unknown initial state type ndarray"):
+        run(psi)
+    with pytest.raises(ValueError, match="unknown initial state type ndarray"):
+        run(psi / 2.0)
+    with pytest.raises(ValueError, match="must be normalized"):
+        run(Explicit(psi))
+
+
 def test_class_helpers():
     g = build(Simplex(4))
-    cd = class_vertices(g, "cd")
+    cd = g.class_vertices("cd")
     assert set(cd) == set(g.class_vertices("c")) | set(g.class_vertices("d"))
     with pytest.raises(ValueError):
-        class_vertices(g, "zz")
+        g.class_vertices("zz")
     state = class_uniform_state(g, "e")
     assert np.linalg.norm(state) == pytest.approx(1.0)
 
@@ -320,7 +340,7 @@ _DIMENSION_MESSAGE = "Krylov dimension m=1 and closed-form dimension 3 disagree"
 )
 def test_efficiency_report_lists_disagreements(monkeypatch, label, want):
     monkeypatch.setattr(
-        transport, "krylov_basis", lambda g, w=0: SubspaceBasis(krylov_basis(g, w).vectors[:1])
+        transport, "krylov_basis", lambda g: SubspaceBasis(krylov_basis(g).vectors[:1])
     )
     g = build(Rook(4))
     state = Localized(0 if label is None else class_representative(g, label))
@@ -341,7 +361,7 @@ def test_efficiency_report_lists_oracle_disagreements(monkeypatch, label, want):
     # the truncated basis (m=1) also cuts the decay horizon short, to
     # ln(1e8) / (2 kappa); both dynamic routes must still be reported
     monkeypatch.setattr(
-        transport, "krylov_basis", lambda g, w=0: SubspaceBasis(krylov_basis(g, w).vectors[:1])
+        transport, "krylov_basis", lambda g: SubspaceBasis(krylov_basis(g).vectors[:1])
     )
     g = build(Rook(4))
     state = Localized(0 if label is None else class_representative(g, label))
@@ -371,7 +391,7 @@ def test_balanced_bipartite_efficiency_scales_as_inverse_order():
     for n in (8, 16, 32, 64):
         g = build(CompleteBipartite(n // 2, n // 2))
         for v in (1, n // 2):  # one vertex from each partition
-            eta = efficiency_subspace(g, 0, Localized(v))
+            eta = efficiency_subspace(g, Localized(v))
             assert 1.0 <= n * eta <= 3.0
 
 
@@ -393,6 +413,6 @@ def test_closed_form_matches_subspace_spot_checks():
                 psi = Superposition(
                     class_representative(g, c1), class_representative(g, c2), theta
                 )
-            assert efficiency_subspace(g, 0, psi) == pytest.approx(
+            assert efficiency_subspace(g, psi) == pytest.approx(
                 efficiency_closed_form(spec, c1, c2, theta), abs=1e-12
             )
