@@ -174,12 +174,10 @@ def _cmd_graph(args) -> int:
     spec = _spec_from_args(args)
     g = build(spec)
     report = connectivity_report(g)
-    graph = graph_to_json(g)
-    edges, graph["edges"] = graph["edges"], None
     payload = {
         "family": family_name(spec),
         "params": asdict(spec),
-        "graph": graph,
+        "graph": graph_to_json(g, edge_rows=False),
         "connectivity": {
             "min_degree": report.min_degree,
             "vertex": report.vertex_conn,
@@ -188,7 +186,7 @@ def _cmd_graph(args) -> int:
             "normalized_algebraic": _jnum(report.normalized_algebraic_conn),
         },
     }
-    text = _dumps(payload).replace('"edges": null', '"edges": ' + _edge_block(edges), 1)
+    text = _dumps(payload).replace('"edges": null', '"edges": ' + _edge_block(g.edges), 1)
     _emit(text, args.out)
     return 0
 

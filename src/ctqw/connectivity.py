@@ -26,22 +26,36 @@ smaller value can change the answer:
   lambda = min(delta, maxflow(v, w) over w in D - {v}) for any v in D,
   and lambda = delta when |D| = 1.
 
-Two certificates skip or shorten the flows that remain:
+Certificates skip or shorten the flows that remain:
 
 - Common neighbors. For non-adjacent s, t, each common neighbor c gives
   the path s_out -> c_in -> c_out -> t_in, and distinct c give paths that
-  share no vertex; so maxflow(s, t) >= |N(s) & N(t)|. For any v, w, the
-  paths v - c - w and the edge v - w when present share no edge; so the
-  edge flow is >= |N(v) & N(w)| + [v ~ w]. A flow whose certificate
-  reaches the best cut cannot lower it and is skipped. Otherwise these
-  paths are a feasible flow, and Edmonds-Karp augments from it instead
-  of from zero: augmenting paths reach the maximum from any feasible
-  flow, one unit at a time, so the result is the same min(maxflow, cutoff).
-- Floor. A connected graph with at least two vertices has kappa >= 1 and
-  lambda >= 1, so the search stops as soon as the best cut is 1.
+  share no vertex; so maxflow(s, t) >= |N(s) & N(t)|. One product A @ A
+  gives that count for every pair, and kappa's flow loop visits only the
+  pairs whose count is below the best cut when their source's turn comes;
+  the best cut only falls, so a pair screened out then stays out.
+- Length-3 paths, for lambda. Let v, w be any two vertices, A = N(v) -
+  N[w] and B = N(w) - N[v], and M a matching between A and B in G. The
+  paths v - c - w over the common neighbors c, the edge v - w when
+  present, and v - a - b - w over the pairs (a, b) of M share no edge.
+  Their edges at v lead to w, to the c and to the a, all distinct since A
+  holds neither w nor a common neighbor; likewise at w; the one edge at
+  both, v - w, is one path. Each a - b edge touches neither v nor w (a is
+  neither v nor w, and b neither), and M holds it once. So maxflow(v, w)
+  >= |N(v) & N(w)| + [v ~ w] + |M|, with M a maximum matching (a greedy
+  pass, then augmenting paths).
+
+A flow whose certificate reaches the best cut cannot lower it and is
+skipped. Otherwise the certificate's paths are a feasible flow, and
+Edmonds-Karp augments from it instead of from zero: augmenting paths reach
+the maximum from any feasible flow, one unit at a time, so the result is
+the same min(maxflow, cutoff). A connected graph with at least two
+vertices has kappa >= 1 and lambda >= 1, so the search stops as soon as
+the best cut is 1.
 
 Algebraic connectivity is the second-smallest Laplacian eigenvalue; the
-normalized variant divides entries by sqrt(deg_i * deg_j).
+normalized variant divides entries by sqrt(deg_i * deg_j). Both come from
+the eigenvalues alone (LAPACK ``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, laplacian
-from .numerics import sym_eig
+from .numerics import sym_eigvals
 
 
 def _max_flow(
@@ -110,15 +124,72 @@ def _dominating_set(adj: np.ndarray) -> list[int]:
     return chosen
 
 
+def _max_matching(block: np.ndarray) -> list[tuple[int, int]]:
+    """A maximum matching of the bipartite graph with boolean biadjacency
+    `block`, as (row, column) pairs. The smaller side takes a greedy pass,
+    then each of its vertices left unmatched searches for an augmenting
+    path (Kuhn); columns that a failed search reached lead to no free
+    column, and stay skipped until the matching next grows."""
+    if block.shape[0] > block.shape[1]:
+        return [(i, j) for j, i in _max_matching(block.T)]
+    rows, cols = np.nonzero(block)
+    if rows.size == 0:
+        return []
+    ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
+    cols = cols.tolist()
+    nbrs = [cols[a:b] for a, b in zip([0, *ends], ends)]  # each row's columns
+    owner = [-1] * block.shape[1]  # column -> its matched row
+    col_of = [-1] * len(nbrs)  # row -> its matched column
+    for i, row in enumerate(nbrs):
+        j = next((j for j in row if owner[j] < 0), -1)
+        if j >= 0:
+            owner[j], col_of[i] = i, j
+    via: dict[int, int] = {}  # column -> the row that reached it
+    for root in [i for i, j in enumerate(col_of) if j < 0]:
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in nbrs[i]:
+                if j in via:
+                    continue
+                via[j] = i
+                if owner[j] >= 0:
+                    stack.append(owner[j])
+                    continue
+                # free column: flip the alternating path back to the root
+                while j >= 0:
+                    i = via[j]
+                    owner[j], col_of[i], j = i, j, col_of[i]
+                via, stack = {}, []
+                break
+    return [(i, j) for i, j in enumerate(col_of) if j >= 0]
+
+
+def _edge_certificate(adj: np.ndarray, v: int, w: int) -> list[tuple[int, ...]]:
+    """Edge-disjoint v-w paths (see the module docstring): v - c - w over
+    the common neighbors c, the edge v - w when present, and v - a - b - w
+    over a maximum matching between N(v) - N[w] and N(w) - N[v]."""
+    paths: list[tuple[int, ...]] = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
+    if adj[v, w]:
+        paths.append((v, w))
+    only_v = np.flatnonzero(adj[v] & ~adj[w])
+    only_w = np.flatnonzero(adj[w] & ~adj[v])
+    only_v, only_w = only_v[only_v != w], only_w[only_w != v]
+    if only_v.size and only_w.size:
+        pairs = _max_matching(adj[np.ix_(only_v, only_w)])
+        paths += [(v, int(only_v[a]), int(only_w[b]), w) for a, b in pairs]
+    return paths
+
+
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects the graph; 0 for a
     disconnected graph.
 
     The minimum degree, lowered by the unit-capacity max flows from one
     vertex of a greedy dominating set to each of the others, skipping
-    those whose common-neighbor certificate reaches the best cut so far
-    and stopping at 1 (see the module docstring); no flow runs when one
-    vertex dominates.
+    those whose path certificate reaches the best cut so far and stopping
+    at 1 (see the module docstring); no flow runs when one vertex
+    dominates.
     """
     if g.n < 2 or not g.is_connected():
         return 0
@@ -127,9 +198,7 @@ def edge_connectivity(g: Graph) -> int:
     best = int(g.degrees.min())
     v, *others = _dominating_set(g.adjacency)
     for w in others:
-        paths = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
-        if adj[v, w]:
-            paths.append((v, w))
+        paths = _edge_certificate(adj, v, w)
         if len(paths) >= best:
             continue
         best = min(best, _max_flow(capacity, v, w, best, paths))
@@ -154,22 +223,28 @@ def vertex_connectivity(g: Graph) -> int:
     n = g.n
     if len(g.edges) == n * (n - 1) // 2:
         return n - 1
+    best = int(g.degrees.min())
+    shared = g.adjacency @ g.adjacency  # common-neighbor counts, exact
+    # the pairs s < t that need a flow now; best only falls, so no other
+    # pair needs one later
+    pending = np.triu(~adj & (shared < best), 1)
+    sources = np.flatnonzero(pending[:best].any(axis=1))
+    if sources.size == 0:
+        return best
     # split: node v -> in-node v, out-node v + n, internal capacity 1
     capacity = np.zeros((2 * n, 2 * n), dtype=np.int64)
     capacity[np.arange(n), np.arange(n) + n] = 1
     capacity[n:, :n] = n * adj
-    best = int(g.degrees.min())
-    s = 0
-    while s < best:
-        for t in np.flatnonzero(~adj[s, s + 1 :]) + s + 1:
-            common = np.flatnonzero(adj[s] & adj[t])
-            if len(common) >= best:
+    for s in sources.tolist():
+        if s >= best:
+            break
+        for t in np.flatnonzero(pending[s]).tolist():
+            if shared[s, t] >= best:
                 continue
-            paths = [(s + n, c, c + n, t) for c in common]
+            paths = [(s + n, c, c + n, t) for c in np.flatnonzero(adj[s] & adj[t])]
             best = min(best, _max_flow(capacity, s + n, t, best, paths))
             if best == 1:
                 return 1
-        s += 1
     return best
 
 
@@ -177,7 +252,7 @@ def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue."""
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return float(sym_eig(laplacian(g))[0][1])
+    return float(sym_eigvals(laplacian(g))[1])
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:
@@ -192,7 +267,7 @@ def normalized_algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the degree-normalized Laplacian."""
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return float(sym_eig(normalized_laplacian(g))[0][1])
+    return float(sym_eigvals(normalized_laplacian(g))[1])
 
 
 @dataclass(frozen=True)

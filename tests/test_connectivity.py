@@ -168,7 +168,7 @@ _BLOCK_CASES = {
 
 @pytest.mark.parametrize("shift", range(15))
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
-def test_connectivity_below_min_degree(case, shift):
+def test_connectivity_below_min_degree(flow_calls, case, shift):
     # family instances almost all have kappa = lambda = delta, so they
     # cannot catch a wrong pair set
     size, starts, links, kappa, lam, delta = _BLOCK_CASES[case]
@@ -176,6 +176,8 @@ def test_connectivity_below_min_degree(case, shift):
     assert int(g.degrees.min()) == delta
     assert vertex_connectivity(g) == kappa == brute_vertex_connectivity(g.n, set(g.edges))
     assert edge_connectivity(g) == lam == brute_edge_connectivity(g.n, set(g.edges))
+    # the best cut falls here, and no flow runs whose certificate reaches it
+    assert all(paths < cutoff for *_, cutoff, paths in flow_calls)
 
 
 @pytest.fixture
@@ -211,6 +213,39 @@ def test_dense_bipartite_vertex_connectivity_runs_no_flow(flow_calls):
     assert flow_calls == []
 
 
+@pytest.mark.parametrize("n1, n2", [(18, 19), (12, 30)])
+def test_dense_bipartite_edge_connectivity_runs_no_flow(flow_calls, n1, n2):
+    # the two dominating vertices are adjacent, share no neighbor, and match
+    # the rest of each other's side: 1 + min(n1, n2) - 1 paths of length 3
+    assert edge_connectivity(build_complete_bipartite(n1, n2)) == min(n1, n2)
+    assert flow_calls == []
+
+
+def _brute_matching_size(block: np.ndarray) -> int:
+    if block.shape[0] == 0:
+        return 0
+    rest = block[1:]
+    best = _brute_matching_size(rest)
+    for j in np.flatnonzero(block[0]):
+        best = max(best, 1 + _brute_matching_size(np.delete(rest, j, axis=1)))
+    return best
+
+
+def test_max_matching_against_brute_force():
+    rng = np.random.default_rng(11)
+    sizes = set()
+    for _ in range(300):
+        shape = tuple(rng.integers(0, 7, size=2))
+        block = rng.random(shape) < rng.uniform(0.1, 0.9)
+        pairs = connectivity._max_matching(block)
+        rows, cols = zip(*pairs) if pairs else ((), ())
+        assert len(set(rows)) == len(set(cols)) == len(pairs)
+        assert all(block[i, j] for i, j in pairs)
+        assert len(pairs) == _brute_matching_size(block), block
+        sizes.add(len(pairs))
+    assert sizes == set(range(7))
+
+
 def test_vertex_connectivity_stops_at_one(flow_calls):
     # the first flow, trap to the far bridge end, finds the bridge
     assert vertex_connectivity(build_joined_complete(17)) == 1
@@ -227,12 +262,13 @@ def test_edge_connectivity_stops_at_one(flow_calls):
 
 # (kappa, max flows run for kappa, lambda, max flows run for lambda): a
 # faster flow kernel leaves this schedule alone, and a new certificate
-# should lower the counts
+# should lower the counts; the length-3 certificate settles every lambda
+# pair of Paley(41) (3 flows without it) and Rook(6) (5 flows)
 @pytest.mark.parametrize(
     "g, schedule",
     [
-        (build_paley_prime(41), (20, 317, 20, 3)),
-        (build_rook(6), (10, 230, 10, 5)),
+        (build_paley_prime(41), (20, 317, 20, 0)),
+        (build_rook(6), (10, 230, 10, 0)),
         (build_simplex(6), (6, 210, 6, 6)),
     ],
     ids=["paley41", "rook6", "simplex6"],
@@ -299,11 +335,32 @@ def _check_flows(capacity, s, t, n, certificate, expected):
     return below
 
 
+def _assert_edge_disjoint_paths(adj, v, w, paths):
+    """Every path runs from v to w along edges of the graph, and no two
+    paths share an edge."""
+    used = []
+    for path in paths:
+        assert path[0] == v and path[-1] == w, path
+        hops = list(zip(path, path[1:]))
+        assert all(adj[a, b] for a, b in hops), path
+        used += [frozenset(hop) for hop in hops]
+    assert len(used) == len(set(used)), paths
+
+
 def test_flow_from_certificate_paths_matches_flow_from_zero():
-    # on both networks the kernel runs on, against brute-force local cuts;
-    # every fourth graph has two components, so some t are unreachable
+    # on both networks the kernel runs on, against brute-force local cuts,
+    # with the certificates edge_connectivity and vertex_connectivity start
+    # from (common neighbors, the edge v - w and, for lambda, length-3
+    # paths); every fourth graph has two components, so some t are
+    # unreachable
     rng = random.Random("preflow")
-    seen = {"below cutoff": 0, "unreachable": 0, "residual exhausted": 0, "first level": 0}
+    seen = {
+        "below cutoff": 0,
+        "unreachable": 0,
+        "residual exhausted": 0,
+        "first level": 0,
+        "length 3": 0,
+    }
     for k in range(40):
         n = rng.randint(4, 10)
         side = rng.randint(2, n - 2) if k % 4 == 3 else n
@@ -322,13 +379,14 @@ def test_flow_from_certificate_paths_matches_flow_from_zero():
         for v in range(n):
             for w in range(v + 1, n):
                 common = np.flatnonzero(adj[v] & adj[w])
-                paths = [(v, c, w) for c in common]
-                if adj[v, w]:
-                    paths.append((v, w))
+                paths = connectivity._edge_certificate(adj, v, w)
+                _assert_edge_disjoint_paths(adj, v, w, paths)
                 cut = brute_local_edge_cut(n, edges, v, w)
+                assert len(paths) <= cut
                 seen["below cutoff"] += _check_flows(capacity, v, w, n, paths, cut)
                 seen["unreachable"] += (v < side) != (w < side)
                 seen["residual exhausted"] += 0 < len(paths) == cut
+                seen["length 3"] += any(len(p) == 4 for p in paths)
                 if adj[v, w]:
                     seen["first level"] += 1
                     # s_out -> t_in has capacity n: every BFS ends at level 1
@@ -367,6 +425,19 @@ def test_zero_eigenvalue_multiplicity_counts_components():
     lap = np.diag(stripped.adjacency.sum(axis=1)) - stripped.adjacency
     vals = np.sort(np.linalg.eigvalsh(lap))
     assert np.sum(np.abs(vals) < 1e-9) == m + 1
+
+
+def test_connectivity_report_forms_no_eigenvectors(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("connectivity_report called np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for g in (build_complete_bipartite(8, 4), build_petersen(), build_joined_complete(6)):
+        report = connectivity_report(g)
+        want = np.linalg.eigvalsh(np.diag(g.degrees) - g.adjacency)[1]
+        assert report.algebraic_conn == pytest.approx(want, abs=1e-12)
+        want = np.linalg.eigvalsh(normalized_laplacian(g))[1]
+        assert report.normalized_algebraic_conn == pytest.approx(want, abs=1e-12)
 
 
 def test_connectivity_report_fields():

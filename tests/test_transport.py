@@ -353,13 +353,15 @@ def test_efficiency_report_lists_disagreements(monkeypatch, label, want):
     "label, want",
     [
         ("b", ["closed_form", "lambda", "dynamic_absorbed", "dynamic_survival"]),
-        (None, ["dynamic_absorbed", "dynamic_survival"]),
+        (None, []),
     ],
     ids=["class-b", "vertex-0"],
 )
 def test_efficiency_report_lists_oracle_disagreements(monkeypatch, label, want):
     # the truncated basis (m=1) also cuts the decay horizon short, to
-    # ln(1e8) / (2 kappa); both dynamic routes must still be reported
+    # ln(1e8) / (2 kappa), and the run is extended until the trap amplitude
+    # is gone: the dynamic routes reach the true eta, 1/9 from class b
+    # against the truncated 0, and 1 from the trap, as the truncation reads
     monkeypatch.setattr(
         transport, "krylov_basis", lambda g: SubspaceBasis(krylov_basis(g).vectors[:1])
     )
@@ -372,12 +374,32 @@ def test_efficiency_report_lists_oracle_disagreements(monkeypatch, label, want):
 
 
 def test_efficiency_report_lists_dynamic_disagreements(monkeypatch):
-    # a horizon far too short for the dynamics to converge
-    monkeypatch.setattr(transport, "decay_horizon", lambda h, l: 0.5)
+    # a step far too coarse for RK4 to resolve the dynamics (a horizon that
+    # is too short is doubled instead)
+    monkeypatch.setattr(transport, "rk4_step", lambda l, kappa, t_max: 0.1)
     g = build(JoinedComplete(6))
     report = efficiency_report(JoinedComplete(6), g, Localized(5), oracle=True)
     routes = [message.split(" disagree")[0] for message in report.disagreements]
     assert routes == ["subspace and dynamic_absorbed", "subspace and dynamic_survival"]
+
+
+def test_short_horizon_is_doubled_until_the_state_has_left(monkeypatch):
+    # a horizon far too short: the run is repeated at 0.5 * 2^k until the
+    # state keeps at most 1e-8 of its weight on the Krylov space
+    monkeypatch.setattr(transport, "decay_horizon", lambda h, l: 0.5)
+    horizons = []
+    original = transport.evolve_trapped
+
+    def recorded(l, kappa, psi, dt, t_max):
+        horizons.append(t_max)
+        return original(l, kappa, psi, dt=dt, t_max=t_max)
+
+    monkeypatch.setattr(transport, "evolve_trapped", recorded)
+    g = build(JoinedComplete(6))
+    report = efficiency_report(JoinedComplete(6), g, Localized(5), oracle=True)
+    assert report.disagreements == ()
+    assert len(horizons) > 3
+    assert horizons == [0.5 * 2**k for k in range(len(horizons))]
 
 
 def test_efficiency_report_uncovered_closed_form_is_none():
