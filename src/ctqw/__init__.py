@@ -41,7 +41,6 @@ from .numerics import (
     orthonormalize_against,
     rk4_step,
     sym_eig,
-    sym_eigvals,
 )
 from .reduction import (
     SubspaceBasis,

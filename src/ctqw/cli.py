@@ -174,10 +174,12 @@ def _cmd_graph(args) -> int:
     spec = _spec_from_args(args)
     g = build(spec)
     report = connectivity_report(g)
+    graph = graph_to_json(g)
+    graph["edges"] = None
     payload = {
         "family": family_name(spec),
         "params": asdict(spec),
-        "graph": graph_to_json(g, edge_rows=False),
+        "graph": graph,
         "connectivity": {
             "min_degree": report.min_degree,
             "vertex": report.vertex_conn,

@@ -42,8 +42,8 @@ Certificates skip or shorten the flows that remain:
   holds neither w nor a common neighbor; likewise at w; the one edge at
   both, v - w, is one path. Each a - b edge touches neither v nor w (a is
   neither v nor w, and b neither), and M holds it once. So maxflow(v, w)
-  >= |N(v) & N(w)| + [v ~ w] + |M|, with M a maximum matching (a greedy
-  pass, then augmenting paths).
+  >= |N(v) & N(w)| + [v ~ w] + |M| for any matching M; a greedy one
+  serves.
 
 A flow whose certificate reaches the best cut cannot lower it and is
 skipped. Otherwise the certificate's paths are a feasible flow, and
@@ -124,51 +124,25 @@ def _dominating_set(adj: np.ndarray) -> list[int]:
     return chosen
 
 
-def _max_matching(block: np.ndarray) -> list[tuple[int, int]]:
-    """A maximum matching of the bipartite graph with boolean biadjacency
-    `block`, as (row, column) pairs. The smaller side takes a greedy pass,
-    then each of its vertices left unmatched searches for an augmenting
-    path (Kuhn); columns that a failed search reached lead to no free
-    column, and stay skipped until the matching next grows."""
-    if block.shape[0] > block.shape[1]:
-        return [(i, j) for j, i in _max_matching(block.T)]
-    rows, cols = np.nonzero(block)
-    if rows.size == 0:
-        return []
-    ends = np.searchsorted(rows, np.arange(1, len(block) + 1)).tolist()
-    cols = cols.tolist()
-    nbrs = [cols[a:b] for a, b in zip([0, *ends], ends)]  # each row's columns
-    owner = [-1] * block.shape[1]  # column -> its matched row
-    col_of = [-1] * len(nbrs)  # row -> its matched column
-    for i, row in enumerate(nbrs):
-        j = next((j for j in row if owner[j] < 0), -1)
-        if j >= 0:
-            owner[j], col_of[i] = i, j
-    via: dict[int, int] = {}  # column -> the row that reached it
-    for root in [i for i, j in enumerate(col_of) if j < 0]:
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in nbrs[i]:
-                if j in via:
-                    continue
-                via[j] = i
-                if owner[j] >= 0:
-                    stack.append(owner[j])
-                    continue
-                # free column: flip the alternating path back to the root
-                while j >= 0:
-                    i = via[j]
-                    owner[j], col_of[i], j = i, j, col_of[i]
-                via, stack = {}, []
-                break
-    return [(i, j) for i, j in enumerate(col_of) if j >= 0]
+def _greedy_matching(block: np.ndarray) -> list[tuple[int, int]]:
+    """A matching of the bipartite graph with boolean biadjacency `block`,
+    as (row, column) pairs: each row in turn takes its first free column."""
+    taken_rows: set[int] = set()
+    taken_cols: set[int] = set()
+    pairs = []
+    rows, cols = np.nonzero(block)  # row-major order
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i not in taken_rows and j not in taken_cols:
+            taken_rows.add(i)
+            taken_cols.add(j)
+            pairs.append((i, j))
+    return pairs
 
 
 def _edge_certificate(adj: np.ndarray, v: int, w: int) -> list[tuple[int, ...]]:
     """Edge-disjoint v-w paths (see the module docstring): v - c - w over
     the common neighbors c, the edge v - w when present, and v - a - b - w
-    over a maximum matching between N(v) - N[w] and N(w) - N[v]."""
+    over a greedy matching between N(v) - N[w] and N(w) - N[v]."""
     paths: list[tuple[int, ...]] = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
     if adj[v, w]:
         paths.append((v, w))
@@ -176,7 +150,7 @@ def _edge_certificate(adj: np.ndarray, v: int, w: int) -> list[tuple[int, ...]]:
     only_w = np.flatnonzero(adj[w] & ~adj[v])
     only_v, only_w = only_v[only_v != w], only_w[only_w != v]
     if only_v.size and only_w.size:
-        pairs = _max_matching(adj[np.ix_(only_v, only_w)])
+        pairs = _greedy_matching(adj[np.ix_(only_v, only_w)])
         paths += [(v, int(only_v[a]), int(only_w[b]), w) for a, b in pairs]
     return paths
 

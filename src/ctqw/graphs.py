@@ -378,11 +378,9 @@ def build(spec: FamilySpec) -> Graph:
 # --- JSON output ----------------------------------------------------------------
 
 
-def graph_to_json(g: Graph, *, edge_rows: bool = True) -> dict:
-    """JSON-ready dict with lexicographically sorted edge list; with
-    ``edge_rows=False`` the ``"edges"`` entry is ``None``, a placeholder for
-    a caller that writes ``g.edges`` itself."""
-    obj: dict = {"n": g.n, "edges": [[i, j] for i, j in g.edges] if edge_rows else None}
+def graph_to_json(g: Graph) -> dict:
+    """JSON-ready dict with the lexicographically sorted edge pairs."""
+    obj: dict = {"n": g.n, "edges": g.edges}
     if g.classes is not None:
         obj["classes"] = {str(v): g.classes[v] for v in range(g.n)}
     return obj

@@ -138,8 +138,6 @@ class UnstableStepError(ValueError):
 # of psi' = G psi is psi <- R(dt*G) psi exactly.
 _RK4_TAYLOR = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
 _STABILITY_SLACK = 1e-12
-# |R(z)| <= 1 on the closed left half-disk of this radius (_in_stable_disk)
-_RK4_STABLE_RADIUS = 2.5
 DEFAULT_DT = 1e-4  # the largest step rk4_step returns
 _NORM_DRIFT = 1e-9  # bound on the RK4 norm drift over a whole run
 _TRAP_STEP = 0.03  # bound on dt * kappa
@@ -163,26 +161,6 @@ def _trapped_hamiltonian(l: np.ndarray, kappa: float) -> np.ndarray:
         raise ValueError("laplacian must be square")
     h[0, 0] -= 1j * kappa
     return h
-
-
-def _in_stable_disk(l: np.ndarray, kappa: float, dt: float) -> bool:
-    """Whether every eigenvalue z of dt * G lies, for a real symmetric `l`,
-    in the left half-disk |z| <= 2.5, Re z <= 0, where |R(z)| <= 1.
-
-    An eigenvalue mu of H = L - i*kappa |0><0| with unit eigenvector x has
-    Im mu = Im <x, H x> = -kappa |x_0|^2 <= 0 and |mu| <= ||H||_inf <=
-    ||L||_inf + kappa, so z = -i dt mu has Re z <= 0 and |z| <= dt *
-    (||L||_inf + kappa). On that half-disk the polynomial R peaks on its
-    boundary: at most 0.873 on the semicircle, and on the imaginary axis
-    |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 for |y| <= 2 sqrt(2) > 2.5. The
-    one-step matrix R(dt * G) then has spectral radius at most 1.
-    """
-    l = np.asarray(l)
-    return bool(
-        np.isrealobj(l)
-        and np.array_equal(l, l.T)
-        and dt * (float(np.abs(l).sum(axis=1).max()) + kappa) <= _RK4_STABLE_RADIUS
-    )
 
 
 def decay_horizon(h: np.ndarray, l: np.ndarray) -> float:
@@ -248,9 +226,7 @@ def evolve_trapped(
     binary doubling over the bits of N, so a run costs O(log N) matrix
     products whatever its step count. Raises UnstableStepError when the
     spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies outside
-    the RK4 stability region, or when t_max / dt exceeds 2^40 steps. The
-    radius is computed only when `dt` is too large for the half-disk bound
-    of :func:`_in_stable_disk` to settle it.
+    the RK4 stability region, or when t_max / dt exceeds 2^40 steps.
     """
     h = _trapped_hamiltonian(l, kappa)
     n = h.shape[0]
@@ -271,13 +247,12 @@ def evolve_trapped(
     for c in reversed(_RK4_TAYLOR[1:]):
         delta = z @ delta + c * eye
     delta = z @ delta
-    if not _in_stable_disk(l, kappa, dt):
-        radius = float(np.max(np.abs(np.linalg.eigvals(eye + delta))))
-        if radius > 1.0 + _STABILITY_SLACK:
-            raise UnstableStepError(
-                f"dt={dt:g} is outside the RK4 stability region: the one-step "
-                f"matrix has spectral radius {radius:.6g} > 1"
-            )
+    radius = float(np.max(np.abs(np.linalg.eigvals(eye + delta))))
+    if radius > 1.0 + _STABILITY_SLACK:
+        raise UnstableStepError(
+            f"dt={dt:g} is outside the RK4 stability region: the one-step "
+            f"matrix has spectral radius {radius:.6g} > 1"
+        )
 
     nsteps = int(round(t_max / dt))
     if nsteps == 0:

@@ -221,31 +221,6 @@ def test_dense_bipartite_edge_connectivity_runs_no_flow(flow_calls, n1, n2):
     assert flow_calls == []
 
 
-def _brute_matching_size(block: np.ndarray) -> int:
-    if block.shape[0] == 0:
-        return 0
-    rest = block[1:]
-    best = _brute_matching_size(rest)
-    for j in np.flatnonzero(block[0]):
-        best = max(best, 1 + _brute_matching_size(np.delete(rest, j, axis=1)))
-    return best
-
-
-def test_max_matching_against_brute_force():
-    rng = np.random.default_rng(11)
-    sizes = set()
-    for _ in range(300):
-        shape = tuple(rng.integers(0, 7, size=2))
-        block = rng.random(shape) < rng.uniform(0.1, 0.9)
-        pairs = connectivity._max_matching(block)
-        rows, cols = zip(*pairs) if pairs else ((), ())
-        assert len(set(rows)) == len(set(cols)) == len(pairs)
-        assert all(block[i, j] for i, j in pairs)
-        assert len(pairs) == _brute_matching_size(block), block
-        sizes.add(len(pairs))
-    assert sizes == set(range(7))
-
-
 def test_vertex_connectivity_stops_at_one(flow_calls):
     # the first flow, trap to the far bridge end, finds the bridge
     assert vertex_connectivity(build_joined_complete(17)) == 1

@@ -21,10 +21,8 @@ from ctqw import (
     reduced_hamiltonian,
     rk4_step,
     sym_eig,
-    sym_eigvals,
 )
-from ctqw import numerics
-from ctqw.numerics import DEFAULT_DT
+from ctqw.numerics import DEFAULT_DT, sym_eigvals
 
 from _oracles import (
     dense_decay_horizon,
@@ -223,68 +221,6 @@ def test_evolve_rejects_bad_parameters():
         evolve_trapped(l, 1.0, good, dt=1e-3, t_max=math.inf)
     with pytest.raises(UnstableStepError):
         evolve_trapped(l, 1.0, good, dt=2.0, t_max=10.0)
-
-
-def _rk4_polynomial(z: np.ndarray) -> np.ndarray:
-    return sum(c * z**k for k, c in enumerate(numerics._RK4_TAYLOR))
-
-
-def test_rk4_is_stable_on_the_left_half_disk():
-    # the lemma behind skipping the dense stability check: |R(z)| <= 1 on
-    # the closed left half-disk of radius 2.5
-    radius = numerics._RK4_STABLE_RADIUS
-    r, theta = np.meshgrid(
-        np.linspace(0.0, radius, 251), np.linspace(np.pi / 2, 3 * np.pi / 2, 721)
-    )
-    assert np.abs(_rk4_polynomial(r * np.exp(1j * theta))).max() <= 1.0 + 1e-15
-    arc = _rk4_polynomial(radius * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2, 20001)))
-    assert np.abs(arc[1:-1]).max() == pytest.approx(0.8727, abs=1e-4)
-    # on the imaginary axis |R(iy)|^2 = 1 - y^6/72 + y^8/576, which reaches
-    # 1 at |y| = 2 sqrt(2), past the radius, and exceeds it beyond
-    y = np.linspace(-3.0, 3.0, 6001)
-    assert np.allclose(np.abs(_rk4_polynomial(1j * y)) ** 2, 1 - y**6 / 72 + y**8 / 576)
-    assert radius < 2 * math.sqrt(2)
-    assert abs(_rk4_polynomial(1j * 2 * math.sqrt(2) * (1 + 1e-6))) > 1.0
-
-
-@pytest.fixture
-def eigvals_calls(monkeypatch):
-    calls = []
-    original = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    return calls
-
-
-@pytest.mark.parametrize("side, checked", [(1 - 1e-9, False), (1 + 1e-9, True)])
-def test_evolve_checks_stability_only_outside_the_disk(eigvals_calls, side, checked):
-    # dt * (||L||_inf + kappa) on either side of 2.5: inside the half-disk
-    # no eigenvalue is computed; just outside it is, and the step passes
-    l = laplacian(build_petersen())  # ||L||_inf = 6
-    kappa = 2.0
-    dt = side * numerics._RK4_STABLE_RADIUS / (6.0 + kappa)
-    ev = evolve_trapped(l, kappa, _localized(10, 1), dt=dt, t_max=10 * dt)
-    assert ev.t_final == pytest.approx(10 * dt)
-    assert bool(eigvals_calls) == checked
-
-
-def test_evolve_rejects_an_unstable_step_outside_the_disk(eigvals_calls):
-    l = laplacian(build_petersen())  # spectral radius 5, R leaves the unit disk
-    with pytest.raises(UnstableStepError, match="stability region"):
-        evolve_trapped(l, 1.0, _localized(10, 1), dt=0.7, t_max=7.0)
-    assert eigvals_calls == [(10, 10)]
-
-
-def test_evolve_checks_stability_of_a_non_symmetric_generator(eigvals_calls):
-    # the half-disk bound holds only for a real symmetric L
-    l = laplacian(build_complete(3))
-    l[0, 1] += 0.5
-    evolve_trapped(l, 1.0, _localized(3, 1), dt=1e-3, t_max=1e-2)
-    assert eigvals_calls == [(3, 3)]
 
 
 def _localized(n: int, v: int) -> np.ndarray:
