@@ -44,7 +44,6 @@ from .numerics import (
 )
 from .reduction import (
     SubspaceBasis,
-    UnsupportedFamilyError,
     closed_form_basis,
     closed_form_reduced_hamiltonian,
     krylov_basis,

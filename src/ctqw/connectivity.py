@@ -195,9 +195,9 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     adj = g.adjacency.astype(bool)
     n = g.n
-    if len(g.edges) == n * (n - 1) // 2:
-        return n - 1
     best = int(g.degrees.min())
+    if best == n - 1:  # complete
+        return best
     shared = g.adjacency @ g.adjacency  # common-neighbor counts, exact
     # the pairs s < t that need a flow now; best only falls, so no other
     # pair needs one later

@@ -2,7 +2,8 @@
 
 Every builder returns an immutable :class:`Graph` with 0-based vertex
 indices, the trap vertex at index 0 (class ``"w"``), and each remaining
-vertex tagged with the label of its symmetry class. Graphs are small
+vertex tagged with the label of its symmetry class: ``classes`` holds one
+label per vertex, in vertex order. Graphs are small
 (desk scale, a few hundred vertices at most) and stored densely.
 
 :data:`FAMILIES` registers each family once: its name, its parameter
@@ -38,14 +39,16 @@ class Graph:
     ``i < j``; an input that already has that form is kept as it is.
     Entries must be integers. A self-loop, an index outside ``range(n)`` or
     a repeated edge raises ValueError naming the first offending edge in
-    input order. ``classes``, when present, must assign a label to every
-    vertex. ``adjacency`` (the dense 0/1 matrix) and ``degrees`` are
-    read-only arrays set at construction.
+    input order. ``classes``, when present, is any sequence of ``n``
+    strings, the label of each vertex in vertex order, stored as a tuple;
+    anything else raises ValueError. ``adjacency`` (the dense 0/1 matrix)
+    and ``degrees`` are read-only arrays set at construction. Only the
+    ``graph`` printer reads ``edges``; every route reads the arrays.
     """
 
     n: int
     edges: tuple[Edge, ...]
-    classes: dict[int, str] | None = None
+    classes: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n = self.n
@@ -103,8 +106,11 @@ class Graph:
         ):
             object.__setattr__(self, "edges", tuple(zip(*index.tolist())))
         if self.classes is not None:
-            if set(self.classes) != set(range(n)):
-                raise ValueError("class map must assign a label to every vertex")
+            # a dict's tuple() is its int keys, so an old-style class map fails here
+            classes = tuple(self.classes)
+            if len(classes) != n or not all(isinstance(c, str) for c in classes):
+                raise ValueError(f"classes must be {n} string labels, one per vertex")
+            object.__setattr__(self, "classes", classes)
         # plain read-only attributes: a cached_property takes a lock on first
         # access before Python 3.12
         adjacency = np.zeros((n, n))
@@ -122,8 +128,8 @@ class Graph:
         if self.classes is None:
             raise ValueError("graph has no class labels")
         parts = MERGED_CLASSES.get(label, ())
-        labels = parts if parts and set(parts) <= set(self.classes.values()) else (label,)
-        vs = tuple(v for v in range(self.n) if self.classes[v] in labels)
+        labels = parts if parts and set(parts) <= set(self.classes) else (label,)
+        vs = tuple(v for v, c in enumerate(self.classes) if c in labels)
         if not vs:
             raise ValueError(f"no vertices with class {label!r}")
         return vs
@@ -199,7 +205,7 @@ def _trap_neighbor_classes(n: int, edges: list[Edge]) -> Graph:
     class ``b`` for every other vertex (the two classes of a strongly
     regular graph)."""
     near = {v for e in edges if 0 in e for v in e}
-    classes = {0: "w", **{v: "a" if v in near else "b" for v in range(1, n)}}
+    classes = ("w",) + tuple("a" if v in near else "b" for v in range(1, n))
     return Graph(n, tuple(edges), classes)
 
 
@@ -208,8 +214,7 @@ def build_complete(n: int) -> Graph:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    classes = {0: "w", **{v: "a" for v in range(1, n)}}
-    return Graph(n, edges, classes)
+    return Graph(n, edges, ("w",) + ("a",) * (n - 1))
 
 
 def build_complete_bipartite(n1: int, n2: int) -> Graph:
@@ -222,10 +227,7 @@ def build_complete_bipartite(n1: int, n2: int) -> Graph:
         raise ValueError("both partitions must be non-empty")
     n = n1 + n2
     edges = tuple((i, j) for i in range(n1) for j in range(n1, n))
-    classes = {0: "w"}
-    classes.update({v: "b" for v in range(1, n1)})
-    classes.update({v: "a" for v in range(n1, n)})
-    return Graph(n, edges, classes)
+    return Graph(n, edges, ("w",) + ("b",) * (n1 - 1) + ("a",) * n2)
 
 
 def is_prime(p: int) -> bool:
@@ -296,9 +298,7 @@ def build_joined_complete(half: int) -> Graph:
             for j in range(i + 1, half):
                 edges.append((base + i, base + j))
     edges.append((half - 1, half))  # bridge
-    classes = {0: "w", half - 1: "b1", half: "b2"}
-    classes.update({v: "a" for v in range(1, half - 1)})
-    classes.update({v: "c" for v in range(half + 1, n)})
+    classes = ("w",) + ("a",) * (half - 2) + ("b1", "b2") + ("c",) * (half - 1)
     return Graph(n, tuple(edges), classes)
 
 
@@ -332,17 +332,11 @@ def build_simplex(m: int) -> Graph:
             u, v = gidx(block, i), gidx(partner_block, m + 1 - i)
             edges.add((min(u, v), max(u, v)))
 
-    classes = {gidx(1, 1): "w"}
-    for i in range(2, m + 1):
-        classes[gidx(1, i)] = "a"
-    classes[gidx(2, m)] = "b"
-    for i in range(1, m):
-        classes[gidx(2, i)] = "c"
+    # blocks 1 and 2 are w a...a and c...c b; the rest start as all f
+    classes = ["w"] + ["a"] * (m - 1) + ["c"] * (m - 1) + ["b"] + ["f"] * (n - 2 * m)
     for block in range(3, blocks + 1):
         classes[gidx(block, m + 2 - block)] = "d"  # partner of an "a" vertex
         classes[gidx(block, m + 3 - block)] = "e"  # partner of a "c" vertex
-        for i in range(1, m + 1):
-            classes.setdefault(gidx(block, i), "f")
     return Graph(n, tuple(edges), classes)
 
 
@@ -382,5 +376,5 @@ def graph_to_json(g: Graph) -> dict:
     """JSON-ready dict with the lexicographically sorted edge pairs."""
     obj: dict = {"n": g.n, "edges": g.edges}
     if g.classes is not None:
-        obj["classes"] = {str(v): g.classes[v] for v in range(g.n)}
+        obj["classes"] = {str(v): c for v, c in enumerate(g.classes)}
     return obj

@@ -48,8 +48,8 @@ from .graphs import (
 from .numerics import _sign, _trapped_hamiltonian, krylov_vectors
 
 
-class UnsupportedFamilyError(ValueError):
-    """No closed-form basis is available for the requested family."""
+class UnsupportedCaseError(ValueError):
+    """The requested family, class or superposition has no closed form."""
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,8 @@ def _analytic_basis(spec: FamilySpec, what: str) -> tuple[ClosedForms, np.ndarra
     rows spread over the vertices of ``build(spec)`` by class label."""
     forms = closed_forms(spec)
     if forms.basis is None:
-        raise UnsupportedFamilyError(f"no closed-form {what} for {spec!r}")
-    classes = build(spec).classes
-    labels = [classes[v] for v in range(len(classes))]
+        raise UnsupportedCaseError(f"no closed-form {what} for {spec!r}")
+    labels = build(spec).classes
     return forms, np.array([[row.get(c, 0.0) for c in labels] for row in forms.basis])
 
 

@@ -36,12 +36,13 @@ from .numerics import (
     rk4_step,
     sym_eig,
 )
-from .reduction import SubspaceBasis, closed_forms, krylov_basis, reduced_hamiltonian
-
-
-class UnsupportedCaseError(ValueError):
-    """The requested family/class/superposition combination has no analytic
-    formula."""
+from .reduction import (
+    SubspaceBasis,
+    UnsupportedCaseError,
+    closed_forms,
+    krylov_basis,
+    reduced_hamiltonian,
+)
 
 
 # --- initial states ---------------------------------------------------------------
@@ -284,24 +285,3 @@ def efficiency_report(
             f"{len(forms.diag)} disagree"
         )
     return EfficiencyReport(eta, basis.m, tuple(disagreements))
-
-
-__all__ = [
-    "EfficiencyReport",
-    "Explicit",
-    "InitialState",
-    "Localized",
-    "ROUTE_TOLERANCES",
-    "Superposition",
-    "UnsupportedCaseError",
-    "class_representative",
-    "class_uniform_state",
-    "efficiency_closed_form",
-    "efficiency_dynamic",
-    "efficiency_lambda",
-    "efficiency_report",
-    "efficiency_subspace",
-    "initial_state_vector",
-    "lambda_subspace",
-    "superposition_rule",
-]

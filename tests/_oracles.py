@@ -336,11 +336,12 @@ def validate_srg(g: Graph) -> SrgParams | None:
 
 def graph_from_json(obj: dict) -> Graph:
     """Inverse of :func:`ctqw.graphs.graph_to_json`."""
+    n = int(obj["n"])
     classes = None
     if "classes" in obj and obj["classes"] is not None:
-        classes = {int(v): str(label) for v, label in obj["classes"].items()}
+        classes = tuple(str(obj["classes"][str(v)]) for v in range(n))
     return Graph(
-        n=int(obj["n"]),
+        n=n,
         edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
         classes=classes,
     )

@@ -70,7 +70,7 @@ def _pair_vertices(g, label1, label2):
 @pytest.mark.parametrize("spec", list(SUPPORTED), ids=repr)
 def test_closed_forms_inventory(spec):
     g = build(spec)
-    labels = sorted(set(g.classes.values()) | {"cd"})
+    labels = sorted(set(g.classes) | {"cd"})
     supported = []
     for label in labels:
         try:
@@ -109,7 +109,7 @@ def test_same_class_superposition_takes_the_same_overlap_rule(spec):
     # vertices of one class (and the simplex classes c and d) overlap every
     # basis vector alike, so eta = (1 + cos theta) * eta_class
     g = build(spec)
-    pairs = [(label, label) for label in sorted(set(g.classes.values()))]
+    pairs = [(label, label) for label in sorted(set(g.classes))]
     if isinstance(spec, Simplex):
         pairs += [("c", "d"), ("c", "cd"), ("cd", "cd")]
     for label1, label2 in pairs:

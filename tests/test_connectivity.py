@@ -264,7 +264,10 @@ def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
 @pytest.mark.parametrize(
     "parts",
     [(1, 1), (1, 3), (2, 2), (1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 3), (1, 1, 5), (2, 3, 4),
-     (1, 1, 1, 4), (2, 2, 2, 2), (1, 2, 2, 5)],
+     (1, 1, 1, 4), (2, 2, 2, 2), (1, 2, 2, 5)]
+    # K_n minus one edge, n = 3..9: minimum degree n - 2, one short of the
+    # complete-graph shortcut in vertex_connectivity
+    + [(1,) * (n - 2) + (2,) for n in range(3, 10)],
     ids=str,
 )
 def test_complete_multipartite_against_brute_force(parts):

@@ -49,6 +49,14 @@ def test_graph_rejects_bad_input():
         Graph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         Graph(3, ((0, 1),), classes={0: "w", 1: "a"})
+    assert Graph(3, ((0, 1),), classes=["w", "a", "a"]).classes == ("w", "a", "a")
+    # a full-length class map is no label sequence: its tuple() is its keys
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 1),), classes={0: "w", 1: "a", 2: "a"})
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 1),), classes=("w", "a"))
+    with pytest.raises(ValueError):
+        Graph(3, ((0, 1),), classes=("w", "a", 1))
 
 
 @pytest.mark.parametrize(
@@ -168,8 +176,8 @@ def test_builder_invariants(g):
     adj = g.adjacency
     assert np.all(np.diag(adj) == 0)
     assert np.array_equal(adj, adj.T)
-    assert g.classes is not None
-    assert set(g.classes) == set(range(g.n))
+    assert type(g.classes) is tuple
+    assert len(g.classes) == g.n
     assert g.classes[0] == "w"
     # Laplacian rows sum to zero and the matrix is positive semidefinite
     l = laplacian(g)

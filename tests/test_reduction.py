@@ -12,7 +12,7 @@ from ctqw import (
     Rook,
     Simplex,
     SubspaceBasis,
-    UnsupportedFamilyError,
+    UnsupportedCaseError,
     build,
     closed_form_basis,
     closed_form_reduced_hamiltonian,
@@ -232,11 +232,11 @@ def test_closed_form_basis_amplitudes():
 
 
 def test_closed_form_unsupported_families():
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(UnsupportedCaseError):
         closed_form_basis(Complete(5))
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(UnsupportedCaseError):
         closed_form_basis(Simplex(2))
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(UnsupportedCaseError):
         closed_form_reduced_hamiltonian(Complete(5), 1.0)
 
 

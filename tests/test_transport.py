@@ -305,7 +305,7 @@ _ORACLE_PANEL = (
 _PANEL_CLASSES = [
     (spec, label)
     for spec in _ORACLE_PANEL
-    for label in sorted(set(build(spec).classes.values()))
+    for label in sorted(set(build(spec).classes))
 ]
 
 
