@@ -8,7 +8,6 @@ from .connectivity import (
     connectivity_report,
     edge_connectivity,
     normalized_algebraic_connectivity,
-    normalized_laplacian,
     vertex_connectivity,
 )
 from .graphs import (
@@ -22,13 +21,6 @@ from .graphs import (
     Rook,
     Simplex,
     build,
-    build_complete,
-    build_complete_bipartite,
-    build_joined_complete,
-    build_paley_prime,
-    build_petersen,
-    build_rook,
-    build_simplex,
     family_name,
     graph_to_json,
     laplacian,
@@ -48,7 +40,6 @@ from .reduction import (
     closed_form_reduced_hamiltonian,
     krylov_basis,
     reduced_hamiltonian,
-    subspace_equal,
 )
 from .transport import (
     ROUTE_TOLERANCES,

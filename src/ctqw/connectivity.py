@@ -229,7 +229,7 @@ def algebraic_connectivity(g: Graph) -> float:
     return float(sym_eigvals(laplacian(g))[1])
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
+def _normalized_laplacian(g: Graph) -> np.ndarray:
     degs = g.degrees
     if np.any(degs == 0):
         raise ValueError("normalized Laplacian undefined with isolated vertices")
@@ -241,7 +241,7 @@ def normalized_algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the degree-normalized Laplacian."""
     if g.n < 2:
         raise ValueError("needs at least 2 vertices")
-    return float(sym_eigvals(normalized_laplacian(g))[1])
+    return float(sym_eigvals(_normalized_laplacian(g))[1])
 
 
 @dataclass(frozen=True)

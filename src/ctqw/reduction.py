@@ -70,13 +70,6 @@ class SubspaceBasis:
     def m(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def ambient(self) -> int:
-        return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.vectors.T @ self.vectors
-
     def overlap(self, psi: np.ndarray) -> float:
         """Total squared overlap of a state with the subspace."""
         amps = self.vectors @ np.asarray(psi, dtype=complex)
@@ -94,9 +87,10 @@ def krylov_basis(g: Graph) -> SubspaceBasis:
 def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndarray:
     """Project the trapped Hamiltonian L - i*kappa |0><0| onto `basis`; entry
     (0, 0) carries the -i*kappa trap term (the basis must start with |0>)."""
-    if basis.ambient != g.n:
+    ambient = basis.vectors.shape[1]
+    if ambient != g.n:
         raise ValueError(
-            f"basis ambient dimension {basis.ambient} does not match graph order {g.n}"
+            f"basis ambient dimension {ambient} does not match graph order {g.n}"
         )
     return _trapped_hamiltonian(basis.vectors @ laplacian(g) @ basis.vectors.T, kappa)
 
@@ -326,13 +320,3 @@ def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarra
     for i, x in enumerate(forms.off):
         h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]
     return _trapped_hamiltonian(h, kappa)
-
-
-def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> bool:
-    """True iff the two bases span the same subspace: equal dimension and
-    projector Frobenius distance within `tol`."""
-    if b1.ambient != b2.ambient:
-        raise ValueError("bases live in different ambient dimensions")
-    if b1.m != b2.m:
-        return False
-    return float(np.linalg.norm(b1.projector() - b2.projector())) <= tol

@@ -4,7 +4,8 @@ Everything here is deliberately naive (exhaustive enumeration, BFS, dense
 eigensolves) and shares no code with the implementation paths it checks,
 except that :func:`dense_decay_horizon` counts the decaying modes with the
 package's Krylov construction. The strongly-regular check and the JSON
-reader of graphs serve the graph tests only.
+reader of graphs serve the graph tests only; :func:`subspace_equal`
+compares two :class:`~ctqw.SubspaceBasis` spans by their projectors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctqw import Graph, UnstableStepError
+from ctqw import Graph, SubspaceBasis, UnstableStepError
 from ctqw.numerics import krylov_vectors
 
 
@@ -345,3 +346,30 @@ def graph_from_json(obj: dict) -> Graph:
         edges=tuple((int(i), int(j)) for i, j in obj["edges"]),
         classes=classes,
     )
+
+
+def normalized_laplacian(g: Graph) -> np.ndarray:
+    """delta_ij - A_ij / sqrt(d_i d_j), entry by entry from the edge list."""
+    degree = [0] * g.n
+    for i, j in g.edges:
+        degree[i] += 1
+        degree[j] += 1
+    out = np.eye(g.n)
+    for i, j in g.edges:
+        out[i, j] = out[j, i] = -1.0 / math.sqrt(degree[i] * degree[j])
+    return out
+
+
+def projector(basis: SubspaceBasis) -> np.ndarray:
+    """Orthogonal projector onto the span of the basis rows."""
+    return basis.vectors.T @ basis.vectors
+
+
+def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> bool:
+    """True iff the two bases span the same subspace: equal dimension and
+    projector Frobenius distance within `tol`."""
+    if b1.vectors.shape[1] != b2.vectors.shape[1]:
+        raise ValueError("bases live in different ambient dimensions")
+    if b1.m != b2.m:
+        return False
+    return float(np.linalg.norm(projector(b1) - projector(b2))) <= tol

@@ -10,58 +10,13 @@ from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# One small instance per family. The files under golden/ pin the CLI output
-# byte for byte; rewrite them only for an intended change of output.
-_GOLDEN_INSTANCES = {
-    "complete": ["--n", "7"],
-    "cbg": ["--n1", "5", "--n2", "3"],
-    "paley": ["--p", "13"],
-    "petersen": [],
-    "rook": ["--n", "4"],
-    "jcg": ["--half", "5"],
-    "simplex": ["--m", "4"],
-}
-
-# Larger instances whose connectivities take many max flows.
-_GOLDEN_GRAPHS = {
-    "graph-rook-6.json": ["rook", "--n", "6"],
-    "graph-simplex-6.json": ["simplex", "--m", "6"],
-    "graph-paley-29.json": ["paley", "--p", "29"],
-    "graph-paley-53.json": ["paley", "--p", "53"],
-    "graph-cbg-22-12.json": ["cbg", "--n1", "22", "--n2", "12"],
-}
-
-# The dynamic routes: the longest horizon and the largest graph of the
-# benchmark's oracle panel, a large kappa, and the deepest reduced
-# Hamiltonian (Simplex(8), m=5), whose eigenvalues set the horizon.
-_GOLDEN_ORACLE = {
-    "jcg-6-b1": ["jcg", "--half", "6", "--state", "class:b1", "--kappa", "0.139"],
-    "rook-4-b": ["rook", "--n", "4", "--state", "class:b", "--kappa", "0.9"],
-    "complete-8-a-k1e4": ["complete", "--n", "8", "--state", "class:a", "--kappa", "1e4"],
-    "simplex-8-f-k3": ["simplex", "--m", "8", "--state", "class:f", "--kappa", "3"],
-}
-
-GOLDEN_CASES = (
-    [
-        (f"sweep-{dataset}.{fmt}", ["sweep", dataset, "--format", fmt])
-        for dataset in ("fig3", "fig7", "fig8", "table1")
-        for fmt in ("csv", "json")
-    ]
-    + [(f"graph-{fam}.json", ["graph", fam, *size]) for fam, size in _GOLDEN_INSTANCES.items()]
-    + [(name, ["graph", *argv]) for name, argv in _GOLDEN_GRAPHS.items()]
-    + [
-        (
-            f"efficiency-{fam}-{state.replace(':', '-')}.json",
-            ["efficiency", fam, *size, "--state", state],
-        )
-        for fam, size in _GOLDEN_INSTANCES.items()
-        for state in ("class:a", "vertex:1", "uniform:a")
-    ]
-    + [
-        (f"efficiency-{name}-oracle.json", ["efficiency", *argv, "--oracle"])
-        for name, argv in _GOLDEN_ORACLE.items()
-    ]
-)
+# MANIFEST maps each golden file to the argv whose stdout it pins; CI reads
+# the same list.
+GOLDEN_CASES = [
+    (words[0], words[1:])
+    for words in map(str.split, (GOLDEN / "MANIFEST").read_text(encoding="utf-8").splitlines())
+    if words and not words[0].startswith("#")
+]
 
 
 def run_cli(capsys, *argv):
@@ -478,6 +433,14 @@ def test_output_matches_golden(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_manifest_lists_every_golden_file_once():
+    names = [name for name, _ in GOLDEN_CASES]
+    assert all(argv for _, argv in GOLDEN_CASES)
+    assert len(names) == len(set(names))
+    on_disk = {p.name for p in GOLDEN.iterdir()} - {"MANIFEST"}
+    assert set(names) == on_disk
 
 
 # an index names one vertex, so super:1,1 is rejected; only a class token

@@ -12,6 +12,12 @@ from ctqw import (
     Rook,
     algebraic_connectivity,
     build,
+    connectivity_report,
+    edge_connectivity,
+    normalized_algebraic_connectivity,
+    vertex_connectivity,
+)
+from ctqw.graphs import (
     build_complete,
     build_complete_bipartite,
     build_joined_complete,
@@ -19,11 +25,6 @@ from ctqw import (
     build_petersen,
     build_rook,
     build_simplex,
-    connectivity_report,
-    edge_connectivity,
-    normalized_algebraic_connectivity,
-    normalized_laplacian,
-    vertex_connectivity,
 )
 
 from ctqw import connectivity
@@ -33,6 +34,7 @@ from _oracles import (
     brute_local_edge_cut,
     brute_local_vertex_cut,
     brute_vertex_connectivity,
+    normalized_laplacian,
 )
 
 SMALL_INSTANCES = [
@@ -100,10 +102,10 @@ def test_normalized_algebraic_connectivity():
         assert normalized_algebraic_connectivity(g) == pytest.approx(
             algebraic_connectivity(g) / deg, abs=1e-12
         )
-    # independent construction path for an irregular graph
-    g = build_complete_bipartite(8, 4)
-    direct = np.sort(np.linalg.eigvalsh(normalized_laplacian(g)))[1]
-    assert normalized_algebraic_connectivity(g) == pytest.approx(direct, abs=1e-9)
+    # K_{n1,n2} with n1 + n2 >= 3: the normalized spectrum is {0, 1, 2}
+    for n1, n2 in ((1, 2), (5, 3), (8, 4), (22, 12)):
+        g = build_complete_bipartite(n1, n2)
+        assert normalized_algebraic_connectivity(g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_disconnected_graph_scores_zero():

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctqw import (
-    Graph,
-    build,
+from ctqw import Graph, build, graph_to_json, laplacian
+from ctqw.graphs import (
     build_complete,
     build_complete_bipartite,
     build_joined_complete,
@@ -14,8 +13,6 @@ from ctqw import (
     build_petersen,
     build_rook,
     build_simplex,
-    graph_to_json,
-    laplacian,
 )
 
 from _oracles import components, girth, graph_from_json, pair_count_srg, validate_srg

@@ -6,13 +6,6 @@ import pytest
 
 from ctqw import (
     UnstableStepError,
-    build_complete,
-    build_complete_bipartite,
-    build_joined_complete,
-    build_paley_prime,
-    build_petersen,
-    build_rook,
-    build_simplex,
     decay_horizon,
     evolve_trapped,
     krylov_basis,
@@ -21,6 +14,15 @@ from ctqw import (
     reduced_hamiltonian,
     rk4_step,
     sym_eig,
+)
+from ctqw.graphs import (
+    build_complete,
+    build_complete_bipartite,
+    build_joined_complete,
+    build_paley_prime,
+    build_petersen,
+    build_rook,
+    build_simplex,
 )
 from ctqw.numerics import DEFAULT_DT, sym_eigvals
 
