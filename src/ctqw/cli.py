@@ -111,7 +111,7 @@ def _edge_block(edges) -> str:
 
 
 def _add_family_parsers(subparsers, configure) -> None:
-    for fam, (spec_cls, _) in FAMILIES.items():
+    for fam, (spec_cls, *_) in FAMILIES.items():
         sub = subparsers.add_parser(fam)
         for f in fields(spec_cls):
             sub.add_argument(f"--{f.name}", type=int, required=True, help=f.metadata["help"])
@@ -119,9 +119,20 @@ def _add_family_parsers(subparsers, configure) -> None:
         configure(sub)
 
 
-def _spec_from_args(args) -> FamilySpec:
-    spec_cls = FAMILIES[args.family][0]
-    return spec_cls(**{f.name: getattr(args, f.name) for f in fields(spec_cls)})
+# Largest graph order (vertex count) each command accepts. A larger one exits
+# 2 before anything is built; the README gives the time and peak memory at
+# each cap.
+MAX_ORDER = {"graph": 150, "efficiency": 1000, "efficiency --oracle": 500}
+
+
+def _build_from_args(args, command: str):
+    """The family record the arguments name and its graph."""
+    spec_cls, _, order = FAMILIES[args.family]
+    spec = spec_cls(**{f.name: getattr(args, f.name) for f in fields(spec_cls)})
+    n, cap = order(spec), MAX_ORDER[command]
+    if n > cap:
+        raise ValueError(f"{args.family} graph has {n} vertices, above the {command} cap of {cap}")
+    return spec, build(spec)
 
 
 # --- state parsing ----------------------------------------------------------------
@@ -171,8 +182,7 @@ def _parse_state(g, state_str: str, theta: float):
 
 
 def _cmd_graph(args) -> int:
-    spec = _spec_from_args(args)
-    g = build(spec)
+    spec, g = _build_from_args(args, "graph")
     report = connectivity_report(g)
     graph = graph_to_json(g)
     graph["edges"] = None
@@ -200,8 +210,7 @@ def _cmd_efficiency(args) -> int:
         raise ValueError("--kappa must be finite and >= 0")
     if args.oracle and args.kappa == 0:
         raise ValueError("--kappa must be > 0 with --oracle")
-    spec = _spec_from_args(args)
-    g = build(spec)
+    spec, g = _build_from_args(args, "efficiency --oracle" if args.oracle else "efficiency")
     psi0 = _parse_state(g, args.state, args.theta)
     try:
         report = efficiency_report(spec, g, psi0, kappa=args.kappa, oracle=args.oracle)

@@ -7,8 +7,8 @@ label per vertex, in vertex order. Graphs are small
 (desk scale, a few hundred vertices at most) and stored densely.
 
 :data:`FAMILIES` registers each family once: its name, its parameter
-record (a frozen dataclass whose fields carry the CLI help) and its
-builder. :func:`build` and :func:`family_name` are lookups in it.
+record (a frozen dataclass whose fields carry the CLI help), its builder
+and its order. :func:`build` and :func:`family_name` are lookups in it.
 """
 
 from __future__ import annotations
@@ -200,21 +200,29 @@ class Simplex:
 # --- builders -----------------------------------------------------------------
 
 
-def _trap_neighbor_classes(n: int, edges: list[Edge]) -> Graph:
+def _from_adjacency(a: np.ndarray, classes) -> Graph:
+    """Graph on ``len(a)`` vertices from ``a``, the symmetric 0/1 matrix with
+    zero diagonal in which each builder states its family's adjacency rule.
+    The edges are the strict upper triangle's nonzeros in row-major order:
+    the sorted tuple of Python-int pairs that :class:`Graph` keeps as is."""
+    i, j = np.nonzero(np.triu(a, 1))
+    edges = tuple(zip(i.tolist(), j.tolist()))
+    del i, j  # the index arrays would otherwise live through the constructor
+    return Graph(len(a), edges, classes)
+
+
+def _trap_neighbor_classes(a: np.ndarray) -> Graph:
     """Graph with the trap at 0, class ``a`` for the trap's neighbors and
     class ``b`` for every other vertex (the two classes of a strongly
     regular graph)."""
-    near = {v for e in edges if 0 in e for v in e}
-    classes = ("w",) + tuple("a" if v in near else "b" for v in range(1, n))
-    return Graph(n, tuple(edges), classes)
+    return _from_adjacency(a, ("w",) + tuple("a" if x else "b" for x in a[0, 1:]))
 
 
 def build_complete(n: int) -> Graph:
     """Complete graph K_n. Classes: trap ``w`` plus one class ``a``."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    return Graph(n, edges, ("w",) + ("a",) * (n - 1))
+    return _from_adjacency(~np.eye(n, dtype=bool), ("w",) + ("a",) * (n - 1))
 
 
 def build_complete_bipartite(n1: int, n2: int) -> Graph:
@@ -225,9 +233,8 @@ def build_complete_bipartite(n1: int, n2: int) -> Graph:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both partitions must be non-empty")
-    n = n1 + n2
-    edges = tuple((i, j) for i in range(n1) for j in range(n1, n))
-    return Graph(n, edges, ("w",) + ("b",) * (n1 - 1) + ("a",) * n2)
+    far = np.arange(n1 + n2) >= n1
+    return _from_adjacency(far[:, None] != far, ("w",) + ("b",) * (n1 - 1) + ("a",) * n2)
 
 
 def is_prime(p: int) -> bool:
@@ -251,22 +258,21 @@ def build_paley_prime(p: int) -> Graph:
         raise ValueError(f"p={p} is not prime")
     if p % 4 != 1:
         raise ValueError(f"p={p} must satisfy p = 1 (mod 4)")
-    residues = {(x * x) % p for x in range(1, p)}
-    edges = [
-        (i, j) for i in range(p) for j in range(i + 1, p) if (j - i) % p in residues
-    ]
-    return _trap_neighbor_classes(p, edges)
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(1, p) ** 2 % p] = True
+    v = np.arange(p)
+    return _trap_neighbor_classes(square[(v - v[:, None]) % p])
 
 
 def build_petersen() -> Graph:
     """Petersen graph: outer 5-cycle (vertices 0-4, trap at 0), spokes to an
     inner pentagram (vertices 5-9)."""
-    edges = []
-    for j in range(5):
-        edges.append((j, (j + 1) % 5))
-        edges.append((j, j + 5))
-        edges.append((5 + j, 5 + (j + 2) % 5))
-    return _trap_neighbor_classes(10, edges)
+    j = np.arange(5)
+    u = np.concatenate([j, j, j + 5])  # cycle, spoke and pentagram ends
+    v = np.concatenate([(j + 1) % 5, j + 5, (j + 2) % 5 + 5])
+    a = np.zeros((10, 10), dtype=bool)
+    a[u, v] = a[v, u] = True
+    return _trap_neighbor_classes(a)
 
 
 def build_rook(n: int) -> Graph:
@@ -274,13 +280,8 @@ def build_rook(n: int) -> Graph:
     within each row and each column."""
     if n < 2:
         raise ValueError("rook graph needs n >= 2")
-    edges = []
-    for r in range(n):
-        for c1 in range(n):
-            for c2 in range(c1 + 1, n):
-                edges.append((r * n + c1, r * n + c2))  # same row
-                edges.append((c1 * n + r, c2 * n + r))  # same column
-    return _trap_neighbor_classes(n * n, edges)
+    r, c = np.divmod(np.arange(n * n), n)
+    return _trap_neighbor_classes((r[:, None] == r) != (c[:, None] == c))
 
 
 def build_joined_complete(half: int) -> Graph:
@@ -291,74 +292,60 @@ def build_joined_complete(half: int) -> Graph:
     """
     if half < 2:
         raise ValueError("each complete graph needs at least 2 vertices")
-    n = 2 * half
-    edges = []
-    for base in (0, half):
-        for i in range(half):
-            for j in range(i + 1, half):
-                edges.append((base + i, base + j))
-    edges.append((half - 1, half))  # bridge
+    far = np.arange(2 * half) >= half
+    a = (far[:, None] == far) & ~np.eye(2 * half, dtype=bool)
+    a[half - 1, half] = a[half, half - 1] = True  # bridge
     classes = ("w",) + ("a",) * (half - 2) + ("b1", "b2") + ("c",) * (half - 1)
-    return Graph(n, tuple(edges), classes)
+    return _from_adjacency(a, classes)
 
 
 def build_simplex(m: int) -> Graph:
     """First-order truncated m-simplex lattice: m+1 copies of K_m, each vertex
     carrying exactly one inter-block edge.
 
-    Blocks are numbered 1..m+1 with local vertices 1..m; global index is
-    (block-1)*m + (local-1). Local vertex i of block g is wired to local
-    vertex m+1-i of block 1 + ((i+g-1) mod (m+1)), which pairs every vertex
-    with exactly one partner and keeps the graph m-regular.
+    Vertex (g, i), local vertex i of block g (both 0-based), has index
+    g*m + i. Its partner is local vertex m-1-i of block (i+g+1) mod (m+1):
+    the map is an involution with no fixed block, so every vertex has
+    exactly one partner outside its block and the graph is m-regular.
 
-    Classes: ``w`` = (1,1); ``a`` = rest of block 1; ``b`` = inter-partner of
-    ``w``; ``c`` = rest of b's block; ``d``/``e`` = inter-partners of ``a``/
-    ``c`` vertices; ``f`` = all remaining vertices.
+    Classes: ``w`` = (0, 0); ``a`` = rest of block 0; ``b`` = partner of
+    ``w``; ``c`` = rest of b's block; ``d``/``e`` = partners of ``a``/``c``
+    vertices; ``f`` = all remaining vertices.
     """
     if m < 2:
         raise ValueError("simplex needs m >= 2")
-    blocks = m + 1
-    n = m * blocks
-
-    def gidx(block: int, local: int) -> int:
-        return (block - 1) * m + (local - 1)
-
-    edges = set()
-    for block in range(1, blocks + 1):
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                edges.add((gidx(block, i), gidx(block, j)))
-            partner_block = 1 + (i + block - 1) % blocks
-            u, v = gidx(block, i), gidx(partner_block, m + 1 - i)
-            edges.add((min(u, v), max(u, v)))
-
-    # blocks 1 and 2 are w a...a and c...c b; the rest start as all f
-    classes = ["w"] + ["a"] * (m - 1) + ["c"] * (m - 1) + ["b"] + ["f"] * (n - 2 * m)
-    for block in range(3, blocks + 1):
-        classes[gidx(block, m + 2 - block)] = "d"  # partner of an "a" vertex
-        classes[gidx(block, m + 3 - block)] = "e"  # partner of a "c" vertex
-    return Graph(n, tuple(edges), classes)
+    n = m * (m + 1)
+    g, i = np.divmod(np.arange(n), m)
+    partner = (i + g + 1) % (m + 1) * m + (m - 1 - i)
+    a = (g[:, None] == g) & ~np.eye(n, dtype=bool)
+    a[np.arange(n), partner] = True
+    # blocks 0 and 1 are w a...a and c...c b; the rest start as all f
+    classes = np.array(["w"] + ["a"] * (m - 1) + ["c"] * (m - 1) + ["b"] + ["f"] * (n - 2 * m))
+    classes[partner[1:m]] = "d"
+    classes[partner[m : 2 * m - 1]] = "e"
+    return _from_adjacency(a, classes.tolist())
 
 
 # --- family registry --------------------------------------------------------------
 
-# Family name (the CLI subcommand) -> (parameter record, builder). This is
-# the only list of families: names, dispatch and CLI options derive from it.
-FAMILIES: dict[str, tuple[type, Callable[..., Graph]]] = {
-    "complete": (Complete, build_complete),
-    "cbg": (CompleteBipartite, build_complete_bipartite),
-    "paley": (PaleyPrime, build_paley_prime),
-    "petersen": (Petersen, build_petersen),
-    "rook": (Rook, build_rook),
-    "jcg": (JoinedComplete, build_joined_complete),
-    "simplex": (Simplex, build_simplex),
+# Family name (the CLI subcommand) -> (parameter record, builder, order). The
+# order gives the vertex count of a record's graph without building it. This
+# is the only list of families: names, dispatch and CLI options derive from it.
+FAMILIES: dict[str, tuple[type, Callable[..., Graph], Callable[..., int]]] = {
+    "complete": (Complete, build_complete, lambda s: s.n),
+    "cbg": (CompleteBipartite, build_complete_bipartite, lambda s: s.n1 + s.n2),
+    "paley": (PaleyPrime, build_paley_prime, lambda s: s.p),
+    "petersen": (Petersen, build_petersen, lambda s: 10),
+    "rook": (Rook, build_rook, lambda s: s.n * s.n),
+    "jcg": (JoinedComplete, build_joined_complete, lambda s: 2 * s.half),
+    "simplex": (Simplex, build_simplex, lambda s: s.m * (s.m + 1)),
 }
 
-FamilySpec = Union[tuple(spec_cls for spec_cls, _ in FAMILIES.values())]
+FamilySpec = Union[tuple(entry[0] for entry in FAMILIES.values())]
 
 
 def family_name(spec: FamilySpec) -> str:
-    for name, (spec_cls, _) in FAMILIES.items():
+    for name, (spec_cls, *_) in FAMILIES.items():
         if type(spec) is spec_cls:
             return name
     raise ValueError(f"unknown family spec {spec!r}")

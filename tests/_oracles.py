@@ -5,7 +5,11 @@ eigensolves) and shares no code with the implementation paths it checks,
 except that :func:`dense_decay_horizon` counts the decaying modes with the
 package's Krylov construction. The strongly-regular check and the JSON
 reader of graphs serve the graph tests only; :func:`subspace_equal`
-compares two :class:`~ctqw.SubspaceBasis` spans by their projectors.
+compares two :class:`~ctqw.SubspaceBasis` spans by their projectors. The
+``build_*`` functions at the end are the reference definitions of the graph
+families: they enumerate every edge pair by pair, in Python loops, and the
+package's adjacency-rule builders must give the same ``edges`` and
+``classes``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctqw import Graph, SubspaceBasis, UnstableStepError
+from ctqw.graphs import Edge, is_prime
 from ctqw.numerics import krylov_vectors
 
 
@@ -373,3 +378,135 @@ def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> b
     if b1.m != b2.m:
         return False
     return float(np.linalg.norm(projector(b1) - projector(b2))) <= tol
+
+
+# --- reference family definitions, one edge pair at a time -------------------
+
+
+def _trap_neighbor_classes(n: int, edges: list[Edge]) -> Graph:
+    """Graph with the trap at 0, class ``a`` for the trap's neighbors and
+    class ``b`` for every other vertex (the two classes of a strongly
+    regular graph)."""
+    near = {v for e in edges if 0 in e for v in e}
+    classes = ("w",) + tuple("a" if v in near else "b" for v in range(1, n))
+    return Graph(n, tuple(edges), classes)
+
+
+def build_complete(n: int) -> Graph:
+    """Complete graph K_n. Classes: trap ``w`` plus one class ``a``."""
+    if n < 2:
+        raise ValueError("complete graph needs n >= 2")
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    return Graph(n, edges, ("w",) + ("a",) * (n - 1))
+
+
+def build_complete_bipartite(n1: int, n2: int) -> Graph:
+    """Complete bipartite graph K_{n1,n2} with the trap in the first partition.
+
+    Vertices 0..n1-1 form the trap-side partition (``w`` then class ``b``),
+    vertices n1..n1+n2-1 form the opposite partition (class ``a``).
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("both partitions must be non-empty")
+    n = n1 + n2
+    edges = tuple((i, j) for i in range(n1) for j in range(n1, n))
+    return Graph(n, edges, ("w",) + ("b",) * (n1 - 1) + ("a",) * n2)
+
+
+def build_paley_prime(p: int) -> Graph:
+    """Paley graph on Z_p, edge (i, j) iff i - j is a nonzero square mod p.
+
+    Restricted to prime p with p = 1 (mod 4), which makes the difference
+    relation symmetric (-1 is then a quadratic residue).
+    """
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if p % 4 != 1:
+        raise ValueError(f"p={p} must satisfy p = 1 (mod 4)")
+    residues = {(x * x) % p for x in range(1, p)}
+    edges = [
+        (i, j) for i in range(p) for j in range(i + 1, p) if (j - i) % p in residues
+    ]
+    return _trap_neighbor_classes(p, edges)
+
+
+def build_petersen() -> Graph:
+    """Petersen graph: outer 5-cycle (vertices 0-4, trap at 0), spokes to an
+    inner pentagram (vertices 5-9)."""
+    edges = []
+    for j in range(5):
+        edges.append((j, (j + 1) % 5))
+        edges.append((j, j + 5))
+        edges.append((5 + j, 5 + (j + 2) % 5))
+    return _trap_neighbor_classes(10, edges)
+
+
+def build_rook(n: int) -> Graph:
+    """Rook's graph on an n x n board: cell (r, c) -> vertex r*n + c, edges
+    within each row and each column."""
+    if n < 2:
+        raise ValueError("rook graph needs n >= 2")
+    edges = []
+    for r in range(n):
+        for c1 in range(n):
+            for c2 in range(c1 + 1, n):
+                edges.append((r * n + c1, r * n + c2))  # same row
+                edges.append((c1 * n + r, c2 * n + r))  # same column
+    return _trap_neighbor_classes(n * n, edges)
+
+
+def build_joined_complete(half: int) -> Graph:
+    """Two complete graphs of `half` vertices joined by one bridge edge.
+
+    Vertex layout: 0 = trap ``w``, 1..half-2 = class ``a``, half-1 = ``b1``
+    (bridge, trap side), half = ``b2`` (bridge, far side), rest = class ``c``.
+    """
+    if half < 2:
+        raise ValueError("each complete graph needs at least 2 vertices")
+    n = 2 * half
+    edges = []
+    for base in (0, half):
+        for i in range(half):
+            for j in range(i + 1, half):
+                edges.append((base + i, base + j))
+    edges.append((half - 1, half))  # bridge
+    classes = ("w",) + ("a",) * (half - 2) + ("b1", "b2") + ("c",) * (half - 1)
+    return Graph(n, tuple(edges), classes)
+
+
+def build_simplex(m: int) -> Graph:
+    """First-order truncated m-simplex lattice: m+1 copies of K_m, each vertex
+    carrying exactly one inter-block edge.
+
+    Blocks are numbered 1..m+1 with local vertices 1..m; global index is
+    (block-1)*m + (local-1). Local vertex i of block g is wired to local
+    vertex m+1-i of block 1 + ((i+g-1) mod (m+1)), which pairs every vertex
+    with exactly one partner and keeps the graph m-regular.
+
+    Classes: ``w`` = (1,1); ``a`` = rest of block 1; ``b`` = inter-partner of
+    ``w``; ``c`` = rest of b's block; ``d``/``e`` = inter-partners of ``a``/
+    ``c`` vertices; ``f`` = all remaining vertices.
+    """
+    if m < 2:
+        raise ValueError("simplex needs m >= 2")
+    blocks = m + 1
+    n = m * blocks
+
+    def gidx(block: int, local: int) -> int:
+        return (block - 1) * m + (local - 1)
+
+    edges = set()
+    for block in range(1, blocks + 1):
+        for i in range(1, m + 1):
+            for j in range(i + 1, m + 1):
+                edges.add((gidx(block, i), gidx(block, j)))
+            partner_block = 1 + (i + block - 1) % blocks
+            u, v = gidx(block, i), gidx(partner_block, m + 1 - i)
+            edges.add((min(u, v), max(u, v)))
+
+    # blocks 1 and 2 are w a...a and c...c b; the rest start as all f
+    classes = ["w"] + ["a"] * (m - 1) + ["c"] * (m - 1) + ["b"] + ["f"] * (n - 2 * m)
+    for block in range(3, blocks + 1):
+        classes[gidx(block, m + 2 - block)] = "d"  # partner of an "a" vertex
+        classes[gidx(block, m + 3 - block)] = "e"  # partner of a "c" vertex
+    return Graph(n, tuple(edges), classes)

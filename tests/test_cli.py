@@ -52,6 +52,40 @@ def test_graph_rejects_invalid_parameters(capsys):
     assert "prime" in err
 
 
+def _stand_in_build(spec):
+    raise ValueError("built")
+
+
+# one over-cap request per command: (argv, family, order)
+OVER_CAP = {
+    "graph": (["graph", "simplex", "--m", "12"], "simplex", 156),
+    "efficiency": (["efficiency", "rook", "--n", "300", "--state", "class:a"], "rook", 90000),
+    "efficiency --oracle": (
+        ["efficiency", "complete", "--n", "20000", "--state", "class:a", "--oracle"],
+        "complete",
+        20000,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVER_CAP))
+def test_order_above_the_cap_exits_2_before_building(capsys, monkeypatch, command):
+    # the cap is checked on the family's order alone: a stand-in builder
+    # shows that a request at the cap is built and one above it is not
+    monkeypatch.setattr(cli, "build", _stand_in_build)
+    assert set(OVER_CAP) == set(cli.MAX_ORDER)
+    cap = cli.MAX_ORDER[command]
+    verb, *flags = command.split()
+    state = ["--state", "class:a"] if verb == "efficiency" else []
+    at_cap = [verb, "complete", "--n", str(cap), *state, *flags]
+    assert run_cli(capsys, *at_cap) == (2, "", "error: built\n")
+    above = [verb, "complete", "--n", str(cap + 1), *state, *flags]
+    for argv, family, order in ((above, "complete", cap + 1), OVER_CAP[command]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {family} graph has {order} vertices, above the {command} cap of {cap}\n"
+
+
 def test_graph_edges_sorted(capsys):
     _, out, _ = run_cli(capsys, "graph", "petersen")
     edges = [tuple(e) for e in json.loads(out)["graph"]["edges"]]

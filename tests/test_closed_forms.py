@@ -130,4 +130,4 @@ def test_same_class_superposition_takes_the_same_overlap_rule(spec):
 
 
 def test_closed_forms_lookup_covers_every_family():
-    assert set(CLOSED_FORMS) == {spec_cls for spec_cls, _ in FAMILIES.values()}
+    assert set(CLOSED_FORMS) == {spec_cls for spec_cls, *_ in FAMILIES.values()}

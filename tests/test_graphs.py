@@ -15,6 +15,7 @@ from ctqw.graphs import (
     build_simplex,
 )
 
+import _oracles as reference
 from _oracles import components, girth, graph_from_json, pair_count_srg, validate_srg
 
 ALL_INSTANCES = [
@@ -157,15 +158,54 @@ def test_adjacency_matches_loop_reference(g):
 
 def test_complete_250_build_memory_peak():
     # keeping the builder's canonical tuple and filling the adjacency from
-    # one index array holds the transient peak of K_250 (31,125 edges)
-    build_complete(250).adjacency  # warm caches outside the measurement
-    tracemalloc.start()
-    try:
-        build_complete(250).adjacency
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5e6, f"peak {peak / 1e6:.2f} MB"
+    # one index array holds the transient peak of K_250 (31,125 edges); the
+    # largest instance of each other family in the benchmark's query deck
+    # shares the bound
+    for build_graph in (
+        lambda: build_complete(250),
+        lambda: build_complete_bipartite(125, 125),
+        lambda: build_paley_prime(241),
+        lambda: build_rook(16),
+        lambda: build_joined_complete(125),
+        lambda: build_simplex(15),
+    ):
+        build_graph().adjacency  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            g = build_graph()
+            g.adjacency
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5e6, f"n={g.n}: peak {peak / 1e6:.2f} MB"
+
+
+PALEY_PRIMES = [p for p in range(5, 242, 4) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+REFERENCE_RANGES = {
+    "complete": [(n,) for n in range(2, 61)],
+    "cbg": [(n1, n2) for n1 in range(1, 13) for n2 in range(1, 13)],
+    "paley": [(p,) for p in PALEY_PRIMES],
+    "petersen": [()],
+    "rook": [(n,) for n in range(2, 17)],
+    "jcg": [(half,) for half in range(2, 61)],
+    "simplex": [(m,) for m in range(2, 21)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_RANGES))
+def test_builders_match_reference_definitions(family):
+    # the pair-by-pair definitions in _oracles against the adjacency rules
+    from ctqw.graphs import FAMILIES
+
+    builder = FAMILIES[family][1]
+    reference_builder = getattr(reference, builder.__name__)
+    for args in REFERENCE_RANGES[family]:
+        g, ref = builder(*args), reference_builder(*args)
+        assert type(g.edges) is tuple
+        assert all(type(e) is tuple and tuple(map(type, e)) == (int, int) for e in g.edges)
+        assert g.edges == ref.edges, (family, args)
+        assert g.classes == ref.classes, (family, args)
 
 
 @pytest.mark.parametrize("g", ALL_INSTANCES, ids=lambda g: f"n{g.n}e{len(g.edges)}")
@@ -362,7 +402,7 @@ def test_build_dispatch_covers_all_families():
     )
     from ctqw.graphs import FAMILIES
 
-    registered = [spec_cls for spec_cls, _ in FAMILIES.values()]
+    registered = [spec_cls for spec_cls, *_ in FAMILIES.values()]
     assert set(registered) == set(get_args(FamilySpec))
     for member in get_args(FamilySpec):
         assert registered.count(member) == 1
@@ -380,7 +420,7 @@ def test_build_dispatch_covers_all_families():
     ]
     assert {type(spec) for spec, _ in instances} == set(registered)
     for spec, n in instances:
-        spec_cls, builder = FAMILIES[family_name(spec)]
+        spec_cls, builder, order = FAMILIES[family_name(spec)]
         assert spec_cls is type(spec)
         assert build(spec) == builder(**asdict(spec))
-        assert build(spec).n == n
+        assert build(spec).n == order(spec) == n
