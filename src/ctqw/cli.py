@@ -25,12 +25,7 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 from itertools import chain
 
-from .connectivity import (
-    algebraic_connectivity,
-    connectivity_report,
-    edge_connectivity,
-    vertex_connectivity,
-)
+from .connectivity import connectivity_report
 from .graphs import (
     FAMILIES,
     Complete,
@@ -302,7 +297,8 @@ def _dataset_fig8() -> tuple[list[str], list[list]]:
     rows = []
     for spec, labels in _FIG8_INSTANCES:  # each instance built and measured once
         g = build(spec)
-        conn = [vertex_connectivity(g), edge_connectivity(g), algebraic_connectivity(g)]
+        rep = connectivity_report(g)
+        conn = [rep.vertex_conn, rep.edge_conn, rep.algebraic_conn]
         for label in labels:
             eta = efficiency_subspace(g, Localized(class_representative(g, label)))
             rows.append([family_name(spec), g.n, label, eta, *conn])

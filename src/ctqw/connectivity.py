@@ -11,6 +11,8 @@ t, so every augmenting path is a shortest one, as Edmonds-Karp needs;
 the path may differ from a vertex-at-a-time BFS's, but the flow value
 does not.
 
+Whitney's inequality kappa <= lambda <= delta (Amer. J. Math. 54, 1932)
+settles lambda whenever kappa = delta, and bounds it below otherwise.
 Two classic bounds keep the number of flows small, and every flow stops
 augmenting once it reaches the best cut found so far, since only a
 smaller value can change the answer:
@@ -24,34 +26,20 @@ smaller value can change the answer:
   lambda < delta, each side of a minimum edge cut holds a vertex with no
   neighbor across it, so every dominating set D meets both sides. Then
   lambda = min(delta, maxflow(v, w) over w in D - {v}) for any v in D,
-  and lambda = delta when |D| = 1.
+  and lambda = delta when |D| = 1. These flows run only when kappa <
+  delta, from zero, and the search stops once the best cut equals kappa.
 
-Certificates skip or shorten the flows that remain:
-
-- Common neighbors. For non-adjacent s, t, each common neighbor c gives
-  the path s_out -> c_in -> c_out -> t_in, and distinct c give paths that
-  share no vertex; so maxflow(s, t) >= |N(s) & N(t)|. One product A @ A
-  gives that count for every pair, and kappa's flow loop visits only the
-  pairs whose count is below the best cut when their source's turn comes;
-  the best cut only falls, so a pair screened out then stays out.
-- Length-3 paths, for lambda. Let v, w be any two vertices, A = N(v) -
-  N[w] and B = N(w) - N[v], and M a matching between A and B in G. The
-  paths v - c - w over the common neighbors c, the edge v - w when
-  present, and v - a - b - w over the pairs (a, b) of M share no edge.
-  Their edges at v lead to w, to the c and to the a, all distinct since A
-  holds neither w nor a common neighbor; likewise at w; the one edge at
-  both, v - w, is one path. Each a - b edge touches neither v nor w (a is
-  neither v nor w, and b neither), and M holds it once. So maxflow(v, w)
-  >= |N(v) & N(w)| + [v ~ w] + |M| for any matching M; a greedy one
-  serves.
-
-A flow whose certificate reaches the best cut cannot lower it and is
-skipped. Otherwise the certificate's paths are a feasible flow, and
-Edmonds-Karp augments from it instead of from zero: augmenting paths reach
-the maximum from any feasible flow, one unit at a time, so the result is
-the same min(maxflow, cutoff). A connected graph with at least two
-vertices has kappa >= 1 and lambda >= 1, so the search stops as soon as
-the best cut is 1.
+Common neighbors skip or shorten kappa's flows. For non-adjacent s, t,
+each common neighbor c gives the path s_out -> c_in -> c_out -> t_in, and
+distinct c give paths that share no vertex; so maxflow(s, t) >= |N(s) &
+N(t)|. One product A @ A gives that count for every pair, and kappa's
+flow loop visits only the pairs whose count is below the best cut when
+their source's turn comes; the best cut only falls, so a pair screened
+out then stays out. The other pairs' flows start from their common-
+neighbor paths, a feasible flow: augmenting paths reach the maximum from
+any feasible flow, one unit at a time, so the result is the same
+min(maxflow, cutoff). A connected graph with at least two vertices has
+kappa >= 1, so kappa's search stops as soon as the best cut is 1.
 
 Algebraic connectivity is the second-smallest Laplacian eigenvalue; the
 normalized variant divides entries by sqrt(deg_i * deg_j). Both come from
@@ -124,63 +112,6 @@ def _dominating_set(adj: np.ndarray) -> list[int]:
     return chosen
 
 
-def _greedy_matching(block: np.ndarray) -> list[tuple[int, int]]:
-    """A matching of the bipartite graph with boolean biadjacency `block`,
-    as (row, column) pairs: each row in turn takes its first free column."""
-    taken_rows: set[int] = set()
-    taken_cols: set[int] = set()
-    pairs = []
-    rows, cols = np.nonzero(block)  # row-major order
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i not in taken_rows and j not in taken_cols:
-            taken_rows.add(i)
-            taken_cols.add(j)
-            pairs.append((i, j))
-    return pairs
-
-
-def _edge_certificate(adj: np.ndarray, v: int, w: int) -> list[tuple[int, ...]]:
-    """Edge-disjoint v-w paths (see the module docstring): v - c - w over
-    the common neighbors c, the edge v - w when present, and v - a - b - w
-    over a greedy matching between N(v) - N[w] and N(w) - N[v]."""
-    paths: list[tuple[int, ...]] = [(v, c, w) for c in np.flatnonzero(adj[v] & adj[w])]
-    if adj[v, w]:
-        paths.append((v, w))
-    only_v = np.flatnonzero(adj[v] & ~adj[w])
-    only_w = np.flatnonzero(adj[w] & ~adj[v])
-    only_v, only_w = only_v[only_v != w], only_w[only_w != v]
-    if only_v.size and only_w.size:
-        pairs = _greedy_matching(adj[np.ix_(only_v, only_w)])
-        paths += [(v, int(only_v[a]), int(only_w[b]), w) for a, b in pairs]
-    return paths
-
-
-def edge_connectivity(g: Graph) -> int:
-    """Minimum number of edges whose removal disconnects the graph; 0 for a
-    disconnected graph.
-
-    The minimum degree, lowered by the unit-capacity max flows from one
-    vertex of a greedy dominating set to each of the others, skipping
-    those whose path certificate reaches the best cut so far and stopping
-    at 1 (see the module docstring); no flow runs when one vertex
-    dominates.
-    """
-    if g.n < 2 or not g.is_connected():
-        return 0
-    capacity = g.adjacency.astype(np.int64)
-    adj = g.adjacency.astype(bool)
-    best = int(g.degrees.min())
-    v, *others = _dominating_set(g.adjacency)
-    for w in others:
-        paths = _edge_certificate(adj, v, w)
-        if len(paths) >= best:
-            continue
-        best = min(best, _max_flow(capacity, v, w, best, paths))
-        if best == 1:
-            return 1
-    return best
-
-
 def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
@@ -222,6 +153,35 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
+def _edge_connectivity(g: Graph, kappa: int) -> int:
+    """Edge connectivity of `g`, whose vertex connectivity is `kappa`: kappa
+    itself when it is 0 or the minimum degree (Whitney), otherwise the
+    minimum degree lowered by the max flows from one vertex of a greedy
+    dominating set to each of the others, stopping at kappa (see the module
+    docstring)."""
+    best = int(g.degrees.min())
+    if kappa in (0, best):
+        return kappa
+    capacity = g.adjacency.astype(np.int64)
+    v, *others = _dominating_set(g.adjacency)
+    for w in others:
+        best = _max_flow(capacity, v, w, best, ())
+        if best == kappa:
+            break
+    return best
+
+
+def edge_connectivity(g: Graph) -> int:
+    """Minimum number of edges whose removal disconnects the graph; 0 for a
+    disconnected graph.
+
+    Computes the vertex connectivity first (Whitney's lower bound), so a
+    call on its own costs kappa's flows too; :func:`connectivity_report`
+    computes kappa once for both.
+    """
+    return _edge_connectivity(g, vertex_connectivity(g))
+
+
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue."""
     if g.n < 2:
@@ -254,10 +214,11 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: Graph) -> ConnectivityReport:
+    kappa = vertex_connectivity(g)
     return ConnectivityReport(
         min_degree=int(g.degrees.min()),
-        vertex_conn=vertex_connectivity(g),
-        edge_conn=edge_connectivity(g),
+        vertex_conn=kappa,
+        edge_conn=_edge_connectivity(g, kappa),
         algebraic_conn=algebraic_connectivity(g),
         normalized_algebraic_conn=normalized_algebraic_connectivity(g),
     )

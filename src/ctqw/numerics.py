@@ -106,13 +106,21 @@ def krylov_vectors(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows, signed by :func:`_sign`, spanning the smallest
     subspace that contains |0> and is invariant under the real symmetric
     matrix `a`: applies `a` to the newest row and orthonormalizes against
-    all previous ones, stopping at the first linear dependence (a residual
-    below 1e-10 of the new row's norm)."""
+    all previous ones, stopping at the first linear dependence: a residual
+    below 1e-10 of the largest ||a v_k|| so far. That is a lower bound on
+    ||a||_2, the scale of the roundoff in a v_k, which ||a v_k|| itself can
+    fall far below."""
     e1 = np.zeros(len(a))
     e1[0] = 1.0
     vectors = [e1]
+    scale = 0.0
     while len(vectors) <= len(a):
-        nxt = orthonormalize_against(a @ vectors[-1], np.asarray(vectors), _KRYLOV_TOL)
+        av = a @ vectors[-1]
+        norm = float(np.linalg.norm(av))
+        scale = max(scale, norm)
+        if norm == 0.0:
+            break
+        nxt = orthonormalize_against(av, np.asarray(vectors), _KRYLOV_TOL * scale / norm)
         if nxt is None:
             break
         vectors.append(_sign(nxt) * nxt)

@@ -165,6 +165,9 @@ _BLOCK_CASES = {
     # a chain of three K5 joined by three edges, then one: the minimum cut
     # separates only one member of a three-vertex dominating set
     "chain": (5, (0, 5, 10), [(0, 5), (1, 6), (2, 7), (8, 10)], 1, 1, 4),
+    # two K5 linked by two edges at one vertex: kappa < lambda < delta, so
+    # lambda is neither kappa nor delta
+    "fan": (5, (0, 5), [(0, 5), (0, 6)], 1, 2, 4),
 }
 
 
@@ -217,8 +220,8 @@ def test_dense_bipartite_vertex_connectivity_runs_no_flow(flow_calls):
 
 @pytest.mark.parametrize("n1, n2", [(18, 19), (12, 30)])
 def test_dense_bipartite_edge_connectivity_runs_no_flow(flow_calls, n1, n2):
-    # the two dominating vertices are adjacent, share no neighbor, and match
-    # the rest of each other's side: 1 + min(n1, n2) - 1 paths of length 3
+    # kappa = delta: every non-adjacent pair shares a whole side, and
+    # Whitney's inequality then fixes lambda
     assert edge_connectivity(build_complete_bipartite(n1, n2)) == min(n1, n2)
     assert flow_calls == []
 
@@ -229,32 +232,47 @@ def test_vertex_connectivity_stops_at_one(flow_calls):
     assert len(flow_calls) == 1
 
 
-def test_edge_connectivity_stops_at_one(flow_calls):
+def _edge_flows(flow_calls, g):
+    """The flows of `flow_calls` that ran on the n-vertex edge network;
+    kappa's run on the 2n-node split digraph from an out-node s >= n."""
+    return [call for call in flow_calls if call[0] < g.n]
+
+
+def test_edge_connectivity_stops_at_kappa(flow_calls):
     # chain of three K5: the dominating set has three members, and the
-    # first flow already crosses the single link
+    # first flow already crosses the single link, down to kappa = 1
     g = _clique_blocks(5, (0, 5, 10), [(0, 5), (1, 6), (2, 7), (8, 10)], 0)
     assert edge_connectivity(g) == 1
-    assert len(flow_calls) == 1
+    assert len(_edge_flows(flow_calls, g)) == 1
+
+
+def test_connectivity_report_computes_kappa_once(flow_calls):
+    # JCG(17): one flow finds the bridge for kappa, one for lambda
+    g = build_joined_complete(17)
+    report = connectivity_report(g)
+    assert (report.vertex_conn, report.edge_conn) == (1, 1)
+    assert len(flow_calls) == 2
+    assert len(_edge_flows(flow_calls, g)) == 1
 
 
 # (kappa, max flows run for kappa, lambda, max flows run for lambda): a
 # faster flow kernel leaves this schedule alone, and a new certificate
-# should lower the counts; the length-3 certificate settles every lambda
-# pair of Paley(41) (3 flows without it) and Rook(6) (5 flows)
+# should lower the counts; kappa = delta on all three, so Whitney's
+# inequality settles lambda with no flow
 @pytest.mark.parametrize(
     "g, schedule",
     [
         (build_paley_prime(41), (20, 317, 20, 0)),
         (build_rook(6), (10, 230, 10, 0)),
-        (build_simplex(6), (6, 210, 6, 6)),
+        (build_simplex(6), (6, 210, 6, 0)),
     ],
     ids=["paley41", "rook6", "simplex6"],
 )
 def test_flow_schedule_is_pinned(flow_calls, g, schedule):
-    kappa = vertex_connectivity(g)
-    kappa_flows = len(flow_calls)
-    lam = edge_connectivity(g)
-    assert (kappa, kappa_flows, lam, len(flow_calls) - kappa_flows) == schedule
+    report = connectivity_report(g)
+    lambda_flows = len(_edge_flows(flow_calls, g))
+    kappa_flows = len(flow_calls) - lambda_flows
+    assert (report.vertex_conn, kappa_flows, report.edge_conn, lambda_flows) == schedule
 
 
 def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
@@ -307,7 +325,7 @@ def _check_flows(capacity, s, t, n, certificate, expected):
     for cutoff in sorted({*range(1, expected + 1), n}):
         want = min(expected, cutoff)
         assert connectivity._max_flow(capacity, s, t, cutoff, []) == want, (s, t, cutoff)
-        if cutoff > len(certificate):
+        if certificate and cutoff > len(certificate):
             assert connectivity._max_flow(capacity, s, t, cutoff, certificate) == want, (
                 s, t, cutoff, certificate,
             )
@@ -315,31 +333,17 @@ def _check_flows(capacity, s, t, n, certificate, expected):
     return below
 
 
-def _assert_edge_disjoint_paths(adj, v, w, paths):
-    """Every path runs from v to w along edges of the graph, and no two
-    paths share an edge."""
-    used = []
-    for path in paths:
-        assert path[0] == v and path[-1] == w, path
-        hops = list(zip(path, path[1:]))
-        assert all(adj[a, b] for a, b in hops), path
-        used += [frozenset(hop) for hop in hops]
-    assert len(used) == len(set(used)), paths
-
-
 def test_flow_from_certificate_paths_matches_flow_from_zero():
-    # on both networks the kernel runs on, against brute-force local cuts,
-    # with the certificates edge_connectivity and vertex_connectivity start
-    # from (common neighbors, the edge v - w and, for lambda, length-3
-    # paths); every fourth graph has two components, so some t are
-    # unreachable
+    # on both networks the kernel runs on, against brute-force local cuts:
+    # from zero, as edge_connectivity runs it, and from the common-neighbor
+    # paths vertex_connectivity starts from; every fourth graph has two
+    # components, so some t are unreachable
     rng = random.Random("preflow")
     seen = {
         "below cutoff": 0,
         "unreachable": 0,
         "residual exhausted": 0,
         "first level": 0,
-        "length 3": 0,
     }
     for k in range(40):
         n = rng.randint(4, 10)
@@ -358,22 +362,16 @@ def test_flow_from_certificate_paths_matches_flow_from_zero():
         split[n:, :n] = n * adj
         for v in range(n):
             for w in range(v + 1, n):
-                common = np.flatnonzero(adj[v] & adj[w])
-                paths = connectivity._edge_certificate(adj, v, w)
-                _assert_edge_disjoint_paths(adj, v, w, paths)
                 cut = brute_local_edge_cut(n, edges, v, w)
-                assert len(paths) <= cut
-                seen["below cutoff"] += _check_flows(capacity, v, w, n, paths, cut)
+                seen["below cutoff"] += _check_flows(capacity, v, w, n, [], cut)
                 seen["unreachable"] += (v < side) != (w < side)
-                seen["residual exhausted"] += 0 < len(paths) == cut
-                seen["length 3"] += any(len(p) == 4 for p in paths)
                 if adj[v, w]:
                     seen["first level"] += 1
                     # s_out -> t_in has capacity n: every BFS ends at level 1
                     for cutoff in range(1, n + 1):
                         assert connectivity._max_flow(split, v + n, w, cutoff, []) == cutoff
                     continue
-                paths = [(v + n, c, c + n, w) for c in common]
+                paths = [(v + n, c, c + n, w) for c in np.flatnonzero(adj[v] & adj[w])]
                 cut = brute_local_vertex_cut(n, edges, v, w)
                 seen["below cutoff"] += _check_flows(split, v + n, w, n, paths, cut)
                 seen["residual exhausted"] += 0 < len(paths) == cut

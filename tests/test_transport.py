@@ -409,6 +409,16 @@ def test_efficiency_report_uncovered_closed_form_is_none():
     assert report.eta["subspace"] == pytest.approx(1.0)
 
 
+def test_large_jcg_report_finds_four_krylov_rows():
+    # past the CLI's size cap: roundoff left a fifth row above 1e-10 of its
+    # own small norm, though far below 1e-10 of the Laplacian's scale
+    spec = JoinedComplete(850)
+    g = build(spec)
+    report = efficiency_report(spec, g, Localized(class_representative(g, "a")))
+    assert report.m == 4
+    assert report.disagreements == ()
+
+
 def test_balanced_bipartite_efficiency_scales_as_inverse_order():
     # eta = O(1/N) on balanced bipartite graphs: N * eta stays bounded
     for n in (8, 16, 32, 64):
