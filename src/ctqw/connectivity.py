@@ -27,18 +27,15 @@ smaller value can change the answer:
   neighbor across it, so every dominating set D meets both sides. Then
   lambda = min(delta, maxflow(v, w) over w in D - {v}) for any v in D,
   and lambda = delta when |D| = 1. These flows run only when kappa <
-  delta, from zero, and the search stops once the best cut equals kappa.
+  delta, and the search stops once the best cut equals kappa.
 
-Common neighbors skip or shorten kappa's flows. For non-adjacent s, t,
-each common neighbor c gives the path s_out -> c_in -> c_out -> t_in, and
-distinct c give paths that share no vertex; so maxflow(s, t) >= |N(s) &
-N(t)|. One product A @ A gives that count for every pair, and kappa's
-flow loop visits only the pairs whose count is below the best cut when
-their source's turn comes; the best cut only falls, so a pair screened
-out then stays out. The other pairs' flows start from their common-
-neighbor paths, a feasible flow: augmenting paths reach the maximum from
-any feasible flow, one unit at a time, so the result is the same
-min(maxflow, cutoff). A connected graph with at least two vertices has
+Common neighbors take kappa's pairs off the flow network. For
+non-adjacent s, t, every s-t separator contains C = N(s) & N(t), so
+kappa(s, t) = |C| + kappa_{G-C}(s, t) (Menger). One product A @ A gives
+|C| for every pair; kappa(s, t) >= |C|, so a pair whose |C| reaches the
+best cut is skipped, and since the best cut only falls it stays skipped.
+The others' flows run from zero with C's split arcs removed, stopping at
+the best cut less |C|. A connected graph with at least two vertices has
 kappa >= 1, so kappa's search stops as soon as the best cut is 1.
 
 Algebraic connectivity is the second-smallest Laplacian eigenvalue; the
@@ -49,7 +46,6 @@ the eigenvalues alone (LAPACK ``eigvalsh``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,25 +53,14 @@ from .graphs import Graph, laplacian
 from .numerics import sym_eigvals
 
 
-def _max_flow(
-    capacity: np.ndarray,
-    s: int,
-    t: int,
-    cutoff: int,
-    paths: Sequence[Sequence[int]],
-) -> int:
-    """Edmonds-Karp max flow on an integer capacity matrix, starting from one
-    unit along each of `paths` (s-t node sequences whose arcs are disjoint
-    and have capacity). Each augmenting path carries one unit, which any
-    path with integer residuals can, and augmenting stops once the flow
-    reaches `cutoff`: the result is min(maxflow, cutoff)."""
-    residual = capacity.astype(np.int64)
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            residual[u, v] -= 1
-            residual[v, u] += 1
+def _max_flow(residual: np.ndarray, s: int, t: int, cutoff: int) -> int:
+    """Edmonds-Karp max flow from zero on the int64 capacity matrix
+    `residual`, which the caller owns and this overwrites with the final
+    residual network. Each augmenting path carries one unit, which any path
+    with integer residuals can, and augmenting stops once the flow reaches
+    `cutoff`: the result is min(maxflow, cutoff)."""
     n = residual.shape[0]
-    flow = len(paths)
+    flow = 0
     while flow < cutoff:
         # breadth-first, one level per step: a new vertex's parent is the
         # first frontier vertex with a residual arc to it
@@ -116,11 +101,12 @@ def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertices whose removal disconnects the graph.
 
     Complete graphs have no separating set; by convention they score n - 1.
-    Otherwise this is the minimum degree, lowered by the max flows through
-    the vertex-split digraph with unit vertex capacities from each source
-    s below the best cut so far to the non-adjacent vertices t > s,
-    skipping pairs whose common neighbors reach the best cut and stopping
-    at 1 (see the module docstring).
+    Otherwise this is the minimum degree, lowered by kappa(s, t) = |C| +
+    maxflow(s, t) over each source s below the best cut so far and each
+    non-adjacent t > s, the flow through the vertex-split digraph with unit
+    vertex capacities and the common neighbors C cut out; pairs whose |C|
+    reaches the best cut are skipped, and the search stops at 1 (see the
+    module docstring).
     """
     if not g.is_connected():
         return 0
@@ -130,26 +116,23 @@ def vertex_connectivity(g: Graph) -> int:
     if best == n - 1:  # complete
         return best
     shared = g.adjacency @ g.adjacency  # common-neighbor counts, exact
-    # the pairs s < t that need a flow now; best only falls, so no other
-    # pair needs one later
-    pending = np.triu(~adj & (shared < best), 1)
-    sources = np.flatnonzero(pending[:best].any(axis=1))
-    if sources.size == 0:
-        return best
     # split: node v -> in-node v, out-node v + n, internal capacity 1
     capacity = np.zeros((2 * n, 2 * n), dtype=np.int64)
     capacity[np.arange(n), np.arange(n) + n] = 1
     capacity[n:, :n] = n * adj
-    for s in sources.tolist():
+    # the pairs s < t that need a flow now, row by row; best only falls, so
+    # no other pair needs one later
+    for s, t in np.argwhere(np.triu(~adj & (shared < best), 1)[:best]).tolist():
         if s >= best:
             break
-        for t in np.flatnonzero(pending[s]).tolist():
-            if shared[s, t] >= best:
-                continue
-            paths = [(s + n, c, c + n, t) for c in np.flatnonzero(adj[s] & adj[t])]
-            best = min(best, _max_flow(capacity, s + n, t, best, paths))
-            if best == 1:
-                return 1
+        if shared[s, t] >= best:
+            continue
+        common = np.flatnonzero(adj[s] & adj[t])
+        residual = capacity.copy()
+        residual[common, common + n] = 0
+        best = min(best, common.size + _max_flow(residual, s + n, t, best - common.size))
+        if best == 1:
+            return 1
     return best
 
 
@@ -165,7 +148,7 @@ def _edge_connectivity(g: Graph, kappa: int) -> int:
     capacity = g.adjacency.astype(np.int64)
     v, *others = _dominating_set(g.adjacency)
     for w in others:
-        best = _max_flow(capacity, v, w, best, ())
+        best = _max_flow(capacity.copy(), v, w, best)
         if best == kappa:
             break
     return best
@@ -214,6 +197,9 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: Graph) -> ConnectivityReport:
+    """Every measure of this module for `g`, with kappa computed once and
+    lambda derived from it. Raises ValueError when `g` has fewer than 2
+    vertices or an isolated vertex (no normalized Laplacian)."""
     kappa = vertex_connectivity(g)
     return ConnectivityReport(
         min_degree=int(g.degrees.min()),

@@ -193,19 +193,21 @@ def decay_horizon(h: np.ndarray, l: np.ndarray) -> float:
 def rk4_step(l: np.ndarray, kappa: float, t_max: float) -> float:
     """RK4 step for a run of length `t_max > 0` at trap rate `kappa > 0`:
     min(DEFAULT_DT, 0.03 / kappa, (72e-9 / (t_max * rho^6))^(1/5)), where
-    rho = 2 * max_i L_ii > 0 is the Gershgorin bound on the spectral radius
-    of the Laplacian `l`.
+    rho = 2 * max_i L_ii is the Gershgorin bound on the spectral radius of
+    the Laplacian `l`.
 
     Per step RK4 loses about (dt * rho)^6 / 72 of |psi|^2, so T * dt^5 *
     rho^6 / 72 over a run of length T; the third term holds that under
-    1e-9. The second keeps dt * kappa <= 0.03, where the trapezoid rule
-    with its end term resolves the fast trap mode of a state that starts on
-    the trap (K4 from the trap lands within 1.1e-8 of eta for every kappa
-    up to 1e4).
+    1e-9, and is left out when rho = 0: an edgeless L has no drift. The
+    second keeps dt * kappa <= 0.03, where the trapezoid rule with its end
+    term resolves the fast trap mode of a state that starts on the trap (K4
+    from the trap lands within 1.1e-8 of eta for every kappa up to 1e4).
     """
+    dt = min(DEFAULT_DT, _TRAP_STEP / kappa)
     rho = 2.0 * float(np.max(np.diag(l)))
-    drift_step = (72.0 * _NORM_DRIFT / (t_max * rho**6)) ** 0.2
-    return min(DEFAULT_DT, _TRAP_STEP / kappa, drift_step)
+    if rho == 0.0:
+        return dt
+    return min(dt, (72.0 * _NORM_DRIFT / (t_max * rho**6)) ** 0.2)
 
 
 def evolve_trapped(

@@ -181,8 +181,16 @@ def test_connectivity_below_min_degree(flow_calls, case, shift):
     assert int(g.degrees.min()) == delta
     assert vertex_connectivity(g) == kappa == brute_vertex_connectivity(g.n, set(g.edges))
     assert edge_connectivity(g) == lam == brute_edge_connectivity(g.n, set(g.edges))
-    # the best cut falls here, and no flow runs whose certificate reaches it
-    assert all(paths < cutoff for *_, cutoff, paths in flow_calls)
+    # the best cut falls here, and no pair runs whose common neighbors reach it
+    assert all(cutoff >= 1 for _, _, cutoff, _ in flow_calls)
+
+
+def _removed_split_arcs(residual):
+    """How many internal arcs v_in -> v_out are zeroed, on kappa's split
+    network (the only one with arcs above capacity 1); 0 on lambda's."""
+    if residual.max() <= 1:
+        return 0
+    return int((np.diagonal(residual, residual.shape[0] // 2) == 0).sum())
 
 
 @pytest.fixture
@@ -190,9 +198,9 @@ def flow_calls(monkeypatch):
     calls = []
     kernel = connectivity._max_flow
 
-    def counted(capacity, s, t, cutoff, paths):
-        calls.append((s, t, cutoff, len(paths)))
-        return kernel(capacity, s, t, cutoff, paths)
+    def counted(residual, s, t, cutoff):
+        calls.append((s, t, cutoff, _removed_split_arcs(residual)))
+        return kernel(residual, s, t, cutoff)
 
     monkeypatch.setattr(connectivity, "_max_flow", counted)
     return calls
@@ -256,8 +264,8 @@ def test_connectivity_report_computes_kappa_once(flow_calls):
 
 
 # (kappa, max flows run for kappa, lambda, max flows run for lambda): a
-# faster flow kernel leaves this schedule alone, and a new certificate
-# should lower the counts; kappa = delta on all three, so Whitney's
+# faster flow kernel leaves this schedule alone, and a new way to skip
+# pairs should lower the counts; kappa = delta on all three, so Whitney's
 # inequality settles lambda with no flow
 @pytest.mark.parametrize(
     "g, schedule",
@@ -292,7 +300,8 @@ def _complete_multipartite(parts: tuple[int, ...]) -> Graph:
 )
 def test_complete_multipartite_against_brute_force(parts):
     # kappa = lambda = n - (largest part); every non-adjacent pair shares
-    # at least that many neighbors, so the certificates decide every pair
+    # at least that many neighbors, so the common-neighbor screen skips
+    # every pair
     g = _complete_multipartite(parts)
     edges = set(g.edges)
     expected = g.n - max(parts)
@@ -302,7 +311,8 @@ def test_complete_multipartite_against_brute_force(parts):
 
 def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
     # K_{a,b} minus a few edges: common-neighbor counts fall to just below
-    # the best cut, so flows start from certificates one short of it
+    # the best cut, so flows run with those neighbors cut out and one unit
+    # left to find
     rng = random.Random("cbg-minus-edges")
     for a in range(2, 6):
         for b in range(a, 7):
@@ -312,32 +322,32 @@ def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
                 g = Graph(a + b, tuple(edges))
                 assert vertex_connectivity(g) == brute_vertex_connectivity(g.n, edges), edges
                 assert edge_connectivity(g) == brute_cut_edge_connectivity(g.n, edges), edges
-    near_misses = [c for c in flow_calls if c[3] == c[2] - 1]
+    near_misses = [c for c in flow_calls if c[2] == 1]
     assert len(near_misses) > 20
-    assert any(paths > 0 for *_, paths in near_misses)
+    assert any(removed > 0 for *_, removed in near_misses)
 
 
-def _check_flows(capacity, s, t, n, certificate, expected):
-    """The kernel from zero and from the certificate paths gives
-    min(maxflow, cutoff) at every cutoff up to the max flow and at n.
-    Returns how many of those cutoffs were below the max flow."""
+def _check_flows(capacity, s, t, n, common, expected):
+    """|C| plus the kernel from zero on `capacity` with the common neighbors
+    C = `common` cut out gives min(maxflow, cutoff) at every cutoff above
+    |C| up to the max flow and at n, as vertex_connectivity runs it (C is
+    empty on the edge network). Returns how many of those cutoffs were
+    below the max flow."""
     below = 0
-    for cutoff in sorted({*range(1, expected + 1), n}):
-        want = min(expected, cutoff)
-        assert connectivity._max_flow(capacity, s, t, cutoff, []) == want, (s, t, cutoff)
-        if certificate and cutoff > len(certificate):
-            assert connectivity._max_flow(capacity, s, t, cutoff, certificate) == want, (
-                s, t, cutoff, certificate,
-            )
+    for cutoff in sorted({*range(common.size + 1, expected + 1), n}):
+        residual = capacity.copy()
+        residual[common, common + n] = 0
+        flow = connectivity._max_flow(residual, s, t, cutoff - common.size)
+        assert common.size + flow == min(expected, cutoff), (s, t, cutoff, common)
         below += cutoff < expected
     return below
 
 
-def test_flow_from_certificate_paths_matches_flow_from_zero():
-    # on both networks the kernel runs on, against brute-force local cuts:
-    # from zero, as edge_connectivity runs it, and from the common-neighbor
-    # paths vertex_connectivity starts from; every fourth graph has two
-    # components, so some t are unreachable
+def test_flows_from_zero_and_without_common_neighbors_match_brute_force():
+    # on both networks the kernel runs on, against brute-force local cuts,
+    # always from zero: the edge network as edge_connectivity runs it, and
+    # the split network with the common neighbors cut out; every fourth
+    # graph has two components, so some t are unreachable
     rng = random.Random("preflow")
     seen = {
         "below cutoff": 0,
@@ -363,18 +373,19 @@ def test_flow_from_certificate_paths_matches_flow_from_zero():
         for v in range(n):
             for w in range(v + 1, n):
                 cut = brute_local_edge_cut(n, edges, v, w)
-                seen["below cutoff"] += _check_flows(capacity, v, w, n, [], cut)
+                seen["below cutoff"] += _check_flows(capacity, v, w, n, np.array([], int), cut)
                 seen["unreachable"] += (v < side) != (w < side)
                 if adj[v, w]:
                     seen["first level"] += 1
                     # s_out -> t_in has capacity n: every BFS ends at level 1
                     for cutoff in range(1, n + 1):
-                        assert connectivity._max_flow(split, v + n, w, cutoff, []) == cutoff
+                        assert connectivity._max_flow(split.copy(), v + n, w, cutoff) == cutoff
                     continue
-                paths = [(v + n, c, c + n, w) for c in np.flatnonzero(adj[v] & adj[w])]
+                common = np.flatnonzero(adj[v] & adj[w])
                 cut = brute_local_vertex_cut(n, edges, v, w)
-                seen["below cutoff"] += _check_flows(split, v + n, w, n, paths, cut)
-                seen["residual exhausted"] += 0 < len(paths) == cut
+                seen["below cutoff"] += _check_flows(split, v + n, w, n, common, cut)
+                # the common neighbors alone separate v and w
+                seen["residual exhausted"] += 0 < common.size == cut
     assert min(seen.values()) > 20, seen
 
 

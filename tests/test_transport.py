@@ -8,6 +8,7 @@ from ctqw import (
     Complete,
     CompleteBipartite,
     Explicit,
+    Graph,
     JoinedComplete,
     Localized,
     PaleyPrime,
@@ -188,6 +189,17 @@ def test_dynamic_oracle_from_trap():
     absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(0), 1.0)
     assert absorbed == pytest.approx(1.0, abs=1e-2)
     assert survival == pytest.approx(1.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dynamic_oracle_on_edgeless_graph(n):
+    # rho = 2 max L_ii is 0, so rk4_step has no drift bound to apply
+    g = Graph(n, ())
+    absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(0), 1.0)
+    assert (absorbed, survival) == pytest.approx((1.0, 1.0), abs=1e-6)
+    for v in range(1, n):
+        absorbed, survival = efficiency_dynamic(g, krylov_basis(g), Localized(v), 1.0)
+        assert (absorbed, survival) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 # kappa = 1e-4 ... 1e4 by decades, each at the step rk4_step picks
