@@ -95,21 +95,15 @@ def orthonormalize_against(
     return r / norm_out
 
 
-def _sign(v: np.ndarray) -> float:
-    """Sign of the first non-negligible component of `v`; ``_sign(v) * v``
-    applies the basis sign convention."""
-    nz = np.flatnonzero(np.abs(v) > 1e-12 * float(np.max(np.abs(v))))
-    return -1.0 if nz.size and v[nz[0]] < 0 else 1.0
-
-
 def krylov_vectors(a: np.ndarray) -> np.ndarray:
-    """Orthonormal rows, signed by :func:`_sign`, spanning the smallest
-    subspace that contains |0> and is invariant under the real symmetric
-    matrix `a`: applies `a` to the newest row and orthonormalizes against
-    all previous ones, stopping at the first linear dependence: a residual
-    below 1e-10 of the largest ||a v_k|| so far. That is a lower bound on
-    ||a||_2, the scale of the roundoff in a v_k, which ||a v_k|| itself can
-    fall far below."""
+    """Orthonormal rows spanning the smallest subspace that contains |0>
+    and is invariant under the real symmetric matrix `a`: applies `a` to
+    the newest row and orthonormalizes against all previous ones, stopping
+    at the first linear dependence: a residual below 1e-10 of the largest
+    ||a v_k|| so far. That is a lower bound on ||a||_2, the scale of the
+    roundoff in a v_k, which ||a v_k|| itself can fall far below. Row k+1
+    is the normalized Lanczos residual of a v_k, so `a` reduced to the rows
+    is tridiagonal with positive off-diagonal entries v_{k+1} . a v_k."""
     e1 = np.zeros(len(a))
     e1[0] = 1.0
     vectors = [e1]
@@ -123,7 +117,7 @@ def krylov_vectors(a: np.ndarray) -> np.ndarray:
         nxt = orthonormalize_against(av, np.asarray(vectors), _KRYLOV_TOL * scale / norm)
         if nxt is None:
             break
-        vectors.append(_sign(nxt) * nxt)
+        vectors.append(nxt)
     return np.asarray(vectors)
 
 

@@ -15,12 +15,12 @@ Table-1 algebraic-connectivity formula. All of them are stated over the
 vertex classes the builders label: a basis vector is a table of amplitudes
 by class, spread over the vertices of the built graph.
 
-Sign convention: every basis vector is flipped, when needed, so that its
-first nonzero component (lowest vertex index) is positive. This makes
-entrywise matrix comparisons deterministic. The closed-form reduced
-matrices apply the same gauge, which can flip the sign of an off-diagonal
-entry relative to the raw analytic form (it does, for the simplex entry
-(4,5)); the diagonal and all magnitudes are unaffected.
+The two constructions need not sign their rows alike. A Krylov row is the
+normalized Lanczos residual, so the iterative reduced Hamiltonian has
+positive off-diagonal entries; the closed forms are the paper's rows and
+matrices unchanged, some of whose off-diagonal entries are negative. Row k
+of one basis is +-1 times row k of the other, and the two reduced matrices
+are similar under that diagonal of signs.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .graphs import (
     build,
     laplacian,
 )
-from .numerics import _sign, _trapped_hamiltonian, krylov_vectors
+from .numerics import _trapped_hamiltonian, krylov_vectors
 
 
 class UnsupportedCaseError(ValueError):
@@ -101,10 +101,10 @@ def reduced_hamiltonian(basis: SubspaceBasis, g: Graph, kappa: float) -> np.ndar
 @dataclass(frozen=True)
 class ClosedForms:
     """The paper's closed forms for one family instance; ``None`` or a
-    missing key marks one the instance lacks. ``basis`` lists the raw
-    (un-gauged) analytic basis vectors, each a table of amplitudes by vertex
-    class (a class it omits has amplitude 0); ``diag`` and ``off`` give the
-    raw reduced Hamiltonian. Pair efficiencies are functions of cos(theta),
+    missing key marks one the instance lacks. ``basis`` lists the analytic
+    basis vectors, each a table of amplitudes by vertex class (a class it
+    omits has amplitude 0); ``diag`` and ``off`` give the tridiagonal
+    reduced Hamiltonian. Pair efficiencies are functions of cos(theta),
     filed under either order of two distinct labels; ``aliases`` renames a
     label before any lookup."""
 
@@ -292,31 +292,21 @@ def closed_forms(spec: FamilySpec) -> ClosedForms:
     return ClosedForms() if entry is None else entry(spec)
 
 
-def _analytic_basis(spec: FamilySpec, what: str) -> tuple[ClosedForms, np.ndarray]:
-    """The closed forms of `spec` and its raw analytic basis: the amplitude
-    rows spread over the vertices of ``build(spec)`` by class label."""
+def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
+    """The paper's invariant-subspace basis: its amplitude rows spread over
+    the vertices of ``build(spec)`` by class label."""
     forms = closed_forms(spec)
     if forms.basis is None:
-        raise UnsupportedCaseError(f"no closed-form {what} for {spec!r}")
+        raise UnsupportedCaseError(f"no closed-form basis for {spec!r}")
     labels = build(spec).classes
-    return forms, np.array([[row.get(c, 0.0) for c in labels] for row in forms.basis])
-
-
-def closed_form_basis(spec: FamilySpec) -> SubspaceBasis:
-    """Analytic invariant-subspace basis, gauged by the sign convention."""
-    _, vectors = _analytic_basis(spec, "basis")
-    return SubspaceBasis(np.asarray([_sign(v) * v for v in vectors]))
+    return SubspaceBasis(np.array([[row.get(c, 0.0) for c in labels] for row in forms.basis]))
 
 
 def closed_form_reduced_hamiltonian(spec: FamilySpec, kappa: float) -> np.ndarray:
-    """Analytic reduced Hamiltonian, gauged by the basis sign convention.
-
-    Off-diagonal entry (k, k+1) picks up the product of the sign flips the
-    convention applies to the k-th and (k+1)-th analytic basis vectors.
-    """
-    forms, vectors = _analytic_basis(spec, "reduced Hamiltonian")
-    signs = [_sign(v) for v in vectors]
-    h = np.diag(np.asarray(forms.diag, dtype=float))
-    for i, x in enumerate(forms.off):
-        h[i, i + 1] = h[i + 1, i] = x * signs[i] * signs[i + 1]
+    """The paper's tridiagonal reduced Hamiltonian, ``diag`` and ``off`` of
+    :func:`closed_forms`, with -i*kappa at entry (0, 0)."""
+    forms = closed_forms(spec)
+    if forms.diag is None:
+        raise UnsupportedCaseError(f"no closed-form reduced Hamiltonian for {spec!r}")
+    h = np.diag(forms.diag) + np.diag(forms.off, 1) + np.diag(forms.off, -1)
     return _trapped_hamiltonian(h, kappa)

@@ -30,7 +30,6 @@ import numpy as np
 from .graphs import FamilySpec, Graph, laplacian
 from .numerics import (
     _HORIZON_SURVIVAL,
-    _sign,
     decay_horizon,
     evolve_trapped,
     rk4_step,
@@ -142,8 +141,7 @@ def lambda_subspace(g: Graph) -> SubspaceBasis:
         amps = block[0, :]
         weight = float(np.linalg.norm(amps))
         if weight > _DEGENERACY_TOL:
-            v = block @ (amps / weight)
-            collected.append(_sign(v) * v)
+            collected.append(block @ (amps / weight))
         start = stop
     return SubspaceBasis(np.asarray(collected))
 

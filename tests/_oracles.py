@@ -5,7 +5,9 @@ eigensolves) and shares no code with the implementation paths it checks,
 except that :func:`dense_decay_horizon` counts the decaying modes with the
 package's Krylov construction. The strongly-regular check and the JSON
 reader of graphs serve the graph tests only; :func:`subspace_equal`
-compares two :class:`~ctqw.SubspaceBasis` spans by their projectors. The
+compares two :class:`~ctqw.SubspaceBasis` spans by their projectors, and
+:func:`row_signs` and :func:`similarity_error` compare two bases row by row,
+and their reduced matrices entry by entry, up to the sign of each row. The
 ``build_*`` functions at the end are the reference definitions of the graph
 families: they enumerate every edge pair by pair, in Python loops, and the
 package's adjacency-rule builders must give the same ``edges`` and
@@ -378,6 +380,29 @@ def subspace_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> b
     if b1.m != b2.m:
         return False
     return float(np.linalg.norm(projector(b1) - projector(b2))) <= tol
+
+
+def row_signs(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-9) -> np.ndarray | None:
+    """The signs s_k with row k of `b1` equal to s_k times row k of `b2`:
+    every |b1_k . b2_k| is 1 within `tol`, and every entry of
+    b1_k - s_k b2_k is within `tol` of 0. None when the bases differ in shape
+    or some row matches neither way."""
+    if b1.vectors.shape != b2.vectors.shape:
+        return None
+    dots = np.sum(b1.vectors * b2.vectors, axis=1)
+    signs = np.sign(dots)
+    if np.max(np.abs(np.abs(dots) - 1.0)) > tol:
+        return None
+    if np.max(np.abs(b1.vectors - signs[:, None] * b2.vectors)) > tol:
+        return None
+    return signs
+
+
+def similarity_error(h1: np.ndarray, h2: np.ndarray, signs: np.ndarray) -> float:
+    """Largest entry of |D h1 D - h2|, D = diag(signs): how far two reduced
+    matrices are from agreeing once the rows of the basis of `h1` carry the
+    signs of the basis of `h2`."""
+    return float(np.max(np.abs(np.outer(signs, signs) * h1 - h2)))
 
 
 # --- reference family definitions, one edge pair at a time -------------------

@@ -183,6 +183,7 @@ def test_connectivity_below_min_degree(flow_calls, case, shift):
     assert edge_connectivity(g) == lam == brute_edge_connectivity(g.n, set(g.edges))
     # the best cut falls here, and no pair runs whose common neighbors reach it
     assert all(cutoff >= 1 for _, _, cutoff, _ in flow_calls)
+    assert all(source < best for source, best in _kappa_sources(flow_calls, g))
 
 
 def _removed_split_arcs(residual):
@@ -191,6 +192,13 @@ def _removed_split_arcs(residual):
     if residual.max() <= 1:
         return 0
     return int((np.diagonal(residual, residual.shape[0] // 2) == 0).sum())
+
+
+def _kappa_sources(flow_calls, g):
+    """(source vertex, best cut when its flow started) for each of kappa's
+    flows in `flow_calls`: they run from the out-node s + n, and stop at the
+    best cut less the common neighbors they cut out."""
+    return [(s - g.n, cutoff + removed) for s, _, cutoff, removed in flow_calls if s >= g.n]
 
 
 @pytest.fixture
@@ -238,6 +246,17 @@ def test_vertex_connectivity_stops_at_one(flow_calls):
     # the first flow, trap to the far bridge end, finds the bridge
     assert vertex_connectivity(build_joined_complete(17)) == 1
     assert len(flow_calls) == 1
+
+
+def test_vertex_connectivity_sources_stay_below_best_cut(flow_calls):
+    # Even's bound: sources v_0 ... v_(best - 1) suffice. Two K5 joined by
+    # two disjoint edges: source 0's flows drop the best cut from delta = 4
+    # to kappa = 2 while sources 2 and 3 are still ahead, and they never run
+    g = _clique_blocks(*_BLOCK_CASES["bridged"][:3], 0)
+    assert vertex_connectivity(g) == 2
+    sources = _kappa_sources(flow_calls, g)
+    assert sources[0] == (0, 4) and sources[-1][1] == 2
+    assert all(source < best for source, best in sources)
 
 
 def _edge_flows(flow_calls, g):

@@ -21,7 +21,9 @@ from ctqw import (
     reduced_hamiltonian,
 )
 
-from _oracles import projector, subspace_equal
+from ctqw.reduction import closed_forms
+
+from _oracles import projector, row_signs, similarity_error, subspace_equal
 
 CLOSED_FORM_SPECS = [
     CompleteBipartite(2, 2),
@@ -97,16 +99,23 @@ def test_simplex_m2_collapses_to_four_dimensions():
     assert krylov_basis(build(Simplex(2))).m == 4
 
 
-def test_basis_starts_at_trap_and_obeys_sign_convention():
+def test_basis_starts_at_trap_and_off_diagonal_signs():
     for spec in CLOSED_FORM_SPECS:
         g = build(spec)
         basis = krylov_basis(g)
         e1 = np.zeros(g.n)
         e1[0] = 1.0
         assert np.array_equal(basis.vectors[0], e1)
-        for row in basis.vectors:
-            nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
-            assert row[nz[0]] > 0
+        # Krylov rows are Lanczos residuals: tridiagonal, positive off-diagonals
+        h = reduced_hamiltonian(basis, g, 1.0).real
+        assert np.max(np.abs(np.triu(h, 2))) <= 1e-10
+        assert np.all(np.diag(h, 1) > 0)
+        # the closed form is the paper's matrix, signs and all
+        analytic = closed_form_reduced_hamiltonian(spec, 1.0)
+        assert list(np.diag(analytic, 1).real) == closed_forms(spec).off
+        assert list(np.diag(analytic, -1).real) == closed_forms(spec).off
+    off = np.diag(closed_form_reduced_hamiltonian(Simplex(5), 1.0), 1).real
+    assert np.allclose(off, [-2.236, -1.744, 1.446, 1.75], atol=1e-3)
 
 
 def test_basis_closure_under_laplacian():
@@ -122,9 +131,18 @@ def test_basis_closure_under_laplacian():
         )
 
 
+def _krylov_in_paper_signs(spec):
+    """The Krylov reduced Hamiltonian of `spec` at kappa = 1 and the signs
+    that carry its basis rows onto the paper's, row by row within 1e-9."""
+    g = build(spec)
+    basis = krylov_basis(g)
+    signs = row_signs(basis, closed_form_basis(spec))
+    assert signs is not None
+    return reduced_hamiltonian(basis, g, 1.0), signs
+
+
 def test_reduced_cbg_8_4_matches_analytic_entries():
-    spec = CompleteBipartite(8, 4)
-    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0)
+    h, signs = _krylov_in_paper_signs(CompleteBipartite(8, 4))
     expected = np.array(
         [
             [4.0 - 1.0j, -2.0, 0.0],
@@ -133,12 +151,11 @@ def test_reduced_cbg_8_4_matches_analytic_entries():
         ],
         dtype=complex,
     )
-    assert np.max(np.abs(h - expected)) <= 1e-9
+    assert similarity_error(h, expected, signs) <= 1e-9
 
 
 def test_reduced_petersen_matches_analytic_entries():
-    spec = Petersen()
-    h = reduced_hamiltonian(krylov_basis(build(spec)), build(spec), 1.0)
+    h, signs = _krylov_in_paper_signs(Petersen())
     expected = np.array(
         [
             [3.0 - 1.0j, -math.sqrt(3.0), 0.0],
@@ -147,12 +164,11 @@ def test_reduced_petersen_matches_analytic_entries():
         ],
         dtype=complex,
     )
-    assert np.max(np.abs(h - expected)) <= 1e-9
+    assert similarity_error(h, expected, signs) <= 1e-9
 
 
 def test_reduced_jcg_12_matches_analytic_entries():
-    g = build(JoinedComplete(6))
-    h = reduced_hamiltonian(krylov_basis(g), g, 1.0)
+    h, signs = _krylov_in_paper_signs(JoinedComplete(6))
     expected = np.array(
         [
             [5.0 - 1.0j, -math.sqrt(5.0), 0.0, 0.0],
@@ -162,7 +178,7 @@ def test_reduced_jcg_12_matches_analytic_entries():
         ],
         dtype=complex,
     )
-    assert np.max(np.abs(h - expected)) <= 1e-9
+    assert similarity_error(h, expected, signs) <= 1e-9
 
 
 def test_reduced_simplex_3_diagonal():
@@ -207,16 +223,15 @@ def test_closed_form_basis_matches_iterative(spec):
     numeric = krylov_basis(build(spec))
     analytic = closed_form_basis(spec)
     assert subspace_equal(numeric, analytic, 1e-9)
-    # under the shared sign convention the bases agree vector by vector
-    assert np.max(np.abs(numeric.vectors - analytic.vectors)) <= 1e-9
+    # the bases agree vector by vector, up to the sign of each
+    assert row_signs(numeric, analytic, 1e-9) is not None
 
 
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=str)
 def test_closed_form_reduced_matches_iterative(spec):
-    g = build(spec)
-    numeric = reduced_hamiltonian(krylov_basis(g), g, 1.0)
+    numeric, signs = _krylov_in_paper_signs(spec)
     analytic = closed_form_reduced_hamiltonian(spec, 1.0)
-    assert np.max(np.abs(numeric - analytic)) <= 1e-9
+    assert similarity_error(numeric, analytic, signs) <= 1e-9
 
 
 def test_closed_form_basis_amplitudes():
