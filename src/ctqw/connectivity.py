@@ -2,14 +2,17 @@
 
 Vertex and edge connectivity come from unit-capacity max-flow (BFS
 augmenting paths; vertex version on the standard vertex-split digraph,
-where vertex v is an arc v_in -> v_out of capacity 1). The BFS takes one
-whole level per step: the frontier's residual rows, as one boolean block
-with the visited columns masked out, give the next level, and each new
+where vertex v is an arc v_in -> v_out of capacity 1). The BFS reads a
+boolean mask of the open arcs (residual > 0), built once per flow, and
+takes one whole level per step: the frontier's rows of the mask, and-ed
+with a mask of the unseen vertices, give the next level, and each new
 vertex takes as parent the first frontier vertex that reaches it
 (`argmax` down the block's column). It stops at the level that reaches
 t, so every augmenting path is a shortest one, as Edmonds-Karp needs;
 the path may differ from a vertex-at-a-time BFS's, but the flow value
-does not.
+does not. Augmenting along arc (u, v) updates the int64 residual and two
+mask entries: (u, v) stays open while its residual is positive, and
+(v, u) opens.
 
 Whitney's inequality kappa <= lambda <= delta (Amer. J. Math. 54, 1932)
 settles lambda whenever kappa = delta, and bounds it below otherwise.
@@ -58,27 +61,36 @@ def _max_flow(residual: np.ndarray, s: int, t: int, cutoff: int) -> int:
     `residual`, which the caller owns and this overwrites with the final
     residual network. Each augmenting path carries one unit, which any path
     with integer residuals can, and augmenting stops once the flow reaches
-    `cutoff`: the result is min(maxflow, cutoff)."""
+    `cutoff`: the result is min(maxflow, cutoff).
+
+    The BFS reads only booleans: `open_` (residual > 0), built once per
+    call and kept in step with `residual` arc by arc as each path augments,
+    and `unseen`, the vertices no level has reached yet."""
     n = residual.shape[0]
+    open_ = residual > 0
+    parent = np.empty(n, dtype=np.int64)
     flow = 0
     while flow < cutoff:
         # breadth-first, one level per step: a new vertex's parent is the
-        # first frontier vertex with a residual arc to it
-        parent = np.full(n, -1, dtype=np.int64)
-        parent[s] = s
+        # first frontier vertex with an open arc to it
+        unseen = np.ones(n, dtype=bool)
+        unseen[s] = False
         frontier = np.array([s])
-        while parent[t] < 0:
-            reach = (residual[frontier] > 0) & (parent < 0)
-            fresh = np.flatnonzero(reach.any(axis=0))
+        while unseen[t]:
+            reach = open_[frontier] & unseen
+            fresh = reach.any(axis=0).nonzero()[0]
             if fresh.size == 0:
                 return flow
             parent[fresh] = frontier[reach[:, fresh].argmax(axis=0)]
+            unseen[fresh] = False
             frontier = fresh
         v = t
         while v != s:
             u = int(parent[v])
             residual[u, v] -= 1
             residual[v, u] += 1
+            open_[u, v] = residual[u, v] > 0
+            open_[v, u] = True
             v = u
         flow += 1
     return flow

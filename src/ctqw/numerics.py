@@ -15,9 +15,10 @@ where every graph builder puts it, so the trap projector is |0><0|.
   with its Euler-Maclaurin end term. A run takes every step up to t_max
   and returns its end state. The equation is linear, so one RK4 step is one
   precomputed matrix P: binary doubling over the bits of the step count N
-  builds P^N - I and the flux summed over all N steps as a quadratic form,
-  in O(log N) matrix products; a step size outside the RK4 stability
-  region, or one that needs more than 2^40 steps, is rejected;
+  builds P^N - I, and the flux and the norm lost summed over all N steps
+  as quadratic forms, in O(log N) matrix products; a step size outside the
+  RK4 stability region, or one that needs more than 2^40 steps, is
+  rejected;
 * :func:`rk4_step` -- the step for a run of a given length, from kappa
   and the Gershgorin bound on the spectral radius of L;
 * :func:`decay_horizon` -- the time by which every decaying mode of
@@ -123,11 +124,13 @@ def krylov_vectors(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrappedEvolution:
-    """State at ``t_final`` and the probability absorbed by then."""
+    """State at ``t_final``, the probability absorbed by then, and the norm
+    lost by then, 1 - ||psi||^2, summed step by step."""
 
     psi: np.ndarray
     absorbed: float
     t_final: float
+    lost: float
 
 
 class UnstableStepError(ValueError):
@@ -226,11 +229,15 @@ def evolve_trapped(
     Each RK4 step is applied as the matrix P = sum_{k<=4} (dt*G)^k / k!,
     which equals the four-stage update exactly. With Q = 2*kappa |0><0|, the
     flux summed over the first N steps is psi0^H S_N psi0, where
-    S_N = sum_{j<N} (P^j)^H Q P^j. The pair (P^N - I, S_N) is built by
-    binary doubling over the bits of N, so a run costs O(log N) matrix
-    products whatever its step count. Raises UnstableStepError when the
-    spectral radius of P exceeds 1 + 1e-12, that is when `dt` lies outside
-    the RK4 stability region, or when t_max / dt exceeds 2^40 steps.
+    S_N = sum_{j<N} (P^j)^H Q P^j. The norm lost over the same steps is
+    psi0^H L_N psi0, where L_N = sum_{j<N} (P^j)^H (I - P^H P) P^j, a sum
+    of one-step losses that, unlike 1 - ||P^N psi0||^2, keeps the
+    roundoff of P^N - I from doubling with each level. The triple
+    (P^N - I, S_N, L_N) is built by binary doubling over the bits of N,
+    with S and L stacked, so a run costs O(log N) matrix products whatever
+    its step count. Raises UnstableStepError when the spectral radius of P
+    exceeds 1 + 1e-12, that is when `dt` lies outside the RK4 stability
+    region, or when t_max / dt exceeds 2^40 steps.
     """
     h = _trapped_hamiltonian(l, kappa)
     n = h.shape[0]
@@ -260,23 +267,26 @@ def evolve_trapped(
 
     nsteps = int(round(t_max / dt))
     if nsteps == 0:
-        return TrappedEvolution(psi=psi.copy(), absorbed=0.0, t_final=0.0)
-    # (P^a - I, S_a) from a = 1, over the bits of nsteps after the leading
-    # one: each bit doubles a, S_2a = S_a + (P^a)^H S_a P^a, and a set bit
-    # then adds a step, S_{a+1} = Q + P^H S_a P. Powers are carried as
-    # P^a - I, whose small entries keep their relative precision where P^a
-    # itself would round them against the identity (about 2^40 * eps after
-    # 2^40 steps).
-    q = np.zeros_like(z)
-    q[0, 0] = 2.0 * kappa
-    d, flux_sum = delta, q
+        return TrappedEvolution(psi=psi.copy(), absorbed=0.0, t_final=0.0, lost=0.0)
+    # (P^a - I, [S_a, L_a]) from a = 1, over the bits of nsteps after the
+    # leading one: each bit doubles a, X_2a = X_a + (P^a)^H X_a P^a for X
+    # in S, L, and a set bit then adds a step, S_{a+1} = Q + P^H S_a P and
+    # L_{a+1} = Lambda + P^H L_a P, with the one-step loss
+    # Lambda = I - P^H P = -(D + D^H + D^H D), D = P - I. Powers are carried
+    # as P^a - I, whose small entries keep their relative precision where
+    # P^a itself would round them against the identity (about 2^40 * eps
+    # after 2^40 steps).
+    one_step = np.zeros((2, n, n), dtype=complex)  # [Q, Lambda]
+    one_step[0, 0, 0] = 2.0 * kappa
+    one_step[1] = -(delta + delta.conj().T + delta.conj().T @ delta)
+    d, sums = delta, one_step
     for bit in bin(nsteps)[3:]:
         p = eye + d
-        flux_sum = flux_sum + p.conj().T @ flux_sum @ p
+        sums = sums + p.conj().T @ sums @ p
         d = 2.0 * d + d @ d
         if bit == "1":
             p = eye + delta
-            flux_sum = q + p.conj().T @ flux_sum @ p
+            sums = one_step + p.conj().T @ sums @ p
             d = d + delta + d @ delta
 
     ends = np.stack([psi, psi + d @ psi])
@@ -284,9 +294,12 @@ def evolve_trapped(
     slope = 4.0 * kappa * (ends[:, 0].conj() * (ends @ z[0])).real  # dt * f'
     # trapezoid rule, dt * (f_0/2 + f_1 + ... + f_{N-1} + f_N/2), plus the
     # Euler-Maclaurin end term -dt^2/12 * (f'(t_N) - f'(0))
+    flux_sum, lost = (psi.conj() @ sums @ psi).real
     absorbed = (
-        dt * np.vdot(psi, flux_sum @ psi).real
+        dt * flux_sum
         + 0.5 * dt * (flux[1] - flux[0])
         - dt / 12.0 * (slope[1] - slope[0])
     )
-    return TrappedEvolution(psi=ends[1], absorbed=float(absorbed), t_final=nsteps * dt)
+    return TrappedEvolution(
+        psi=ends[1], absorbed=float(absorbed), t_final=nsteps * dt, lost=float(lost)
+    )

@@ -157,13 +157,13 @@ def efficiency_dynamic(
 ) -> tuple[float, float]:
     """Brute-force oracle: integrate the lossy dynamics with trap rate
     `kappa` at vertex 0, and report (integrated trapping probability, lost
-    norm). The run ends at :func:`decay_horizon` of the Hamiltonian reduced
-    to the trap's Krylov `basis` and steps at :func:`rk4_step` for that
-    length. At or near an exceptional point of H (K2 at kappa = 2) the
-    slowest weight decays as a power of t times exp(-2 gamma_min t), so the
-    horizon can end the run early: it is doubled, and the run repeated,
-    while the end state keeps more than 1e-8 of its weight on the Krylov
-    space."""
+    norm summed step by step). The run ends at :func:`decay_horizon` of the
+    Hamiltonian reduced to the trap's Krylov `basis` and steps at
+    :func:`rk4_step` for that length. At or near an exceptional point of H
+    (K2 at kappa = 2) the slowest weight decays as a power of t times
+    exp(-2 gamma_min t), so the horizon can end the run early: it is
+    doubled, and the run repeated, while the end state keeps more than 1e-8
+    of its weight on the Krylov space."""
     if not kappa > 0:
         raise ValueError("dynamic efficiency needs kappa > 0")
     psi = initial_state_vector(psi0, g.n)
@@ -173,8 +173,7 @@ def efficiency_dynamic(
     while basis.overlap(ev.psi) > _HORIZON_SURVIVAL:
         t_max *= 2.0
         ev = evolve_trapped(l, kappa, psi, dt=rk4_step(l, kappa, t_max), t_max=t_max)
-    survival = float(np.linalg.norm(ev.psi) ** 2)
-    return ev.absorbed, 1.0 - survival
+    return ev.absorbed, ev.lost
 
 
 def superposition_rule(eta: float, theta: float) -> float:

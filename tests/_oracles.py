@@ -11,7 +11,9 @@ and their reduced matrices entry by entry, up to the sign of each row. The
 ``build_*`` functions at the end are the reference definitions of the graph
 families: they enumerate every edge pair by pair, in Python loops, and the
 package's adjacency-rule builders must give the same ``edges`` and
-``classes``.
+``classes``. :func:`reference_max_flow` is the package's earlier max-flow
+kernel, which searched the int64 residual itself; the boolean-mask kernel
+that replaced it must take the same augmenting paths.
 """
 
 from __future__ import annotations
@@ -123,6 +125,34 @@ def brute_local_vertex_cut(n: int, edges: set[tuple[int, int]], s: int, t: int) 
             if t not in seen:
                 return size
     raise ValueError("s and t are adjacent")
+
+
+def reference_max_flow(residual: np.ndarray, s: int, t: int, cutoff: int) -> int:
+    """Edmonds-Karp from zero on the int64 matrix `residual`, overwritten
+    with the final residual, returning min(maxflow, cutoff). Each BFS level
+    gathers the frontier's residual rows, and a new vertex's parent is the
+    first frontier vertex with a positive residual arc to it."""
+    n = residual.shape[0]
+    flow = 0
+    while flow < cutoff:
+        parent = np.full(n, -1, dtype=np.int64)
+        parent[s] = s
+        frontier = np.array([s])
+        while parent[t] < 0:
+            reach = (residual[frontier] > 0) & (parent < 0)
+            fresh = np.flatnonzero(reach.any(axis=0))
+            if fresh.size == 0:
+                return flow
+            parent[fresh] = frontier[reach[:, fresh].argmax(axis=0)]
+            frontier = fresh
+        v = t
+        while v != s:
+            u = int(parent[v])
+            residual[u, v] -= 1
+            residual[v, u] += 1
+            v = u
+        flow += 1
+    return flow
 
 
 def pair_count_srg(adjacency: np.ndarray) -> tuple[int, int, int, int] | None:

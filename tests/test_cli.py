@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ctqw import cli, numerics, reduction, transport
+from ctqw import Complete, Localized, build, cli, numerics, reduction, transport
 from ctqw.cli import _dumps, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -282,6 +283,61 @@ def test_oracle_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "disagree" in err
     assert json.loads(out)["eta"]["subspace"] == pytest.approx(29 / 49, abs=1e-9)
+
+
+# each route's tolerance as the README states it
+DOCUMENTED_TOLERANCES = {
+    "closed_form": 1e-9,
+    "lambda": 1e-9,
+    "dynamic_absorbed": 1e-6,
+    "dynamic_survival": 1e-6,
+}
+
+
+@pytest.mark.parametrize("factor, expected", [(2.0, 3), (0.5, 0)], ids=["2x", "half"])
+@pytest.mark.parametrize("route, tol", DOCUMENTED_TOLERANCES.items(), ids=DOCUMENTED_TOLERANCES)
+def test_route_tolerance_is_the_exit_threshold(capsys, monkeypatch, route, tol, factor, expected):
+    # every other route returns the subspace value exactly, and `route`
+    # lands `factor` times its tolerance above it
+    assert transport.ROUTE_TOLERANCES.keys() == DOCUMENTED_TOLERANCES.keys()
+    spec = Complete(8)
+    g = build(spec)
+    eta = reduction.krylov_basis(g).overlap(transport.initial_state_vector(Localized(1), g.n))
+    value = dict.fromkeys(DOCUMENTED_TOLERANCES, eta)
+    value[route] += factor * tol
+    forms = reduction.closed_forms(spec)
+    monkeypatch.setattr(
+        transport,
+        "closed_forms",
+        lambda spec: dataclasses.replace(forms, localized={"a": value["closed_form"]}),
+    )
+    monkeypatch.setattr(transport, "efficiency_lambda", lambda g, psi0: value["lambda"])
+    monkeypatch.setattr(
+        transport,
+        "efficiency_dynamic",
+        lambda g, basis, psi0, kappa: (value["dynamic_absorbed"], value["dynamic_survival"]),
+    )
+    code, _, err = run_cli(capsys, "efficiency", "complete", "--n", "8", "--state", "vertex:1", "--oracle")
+    assert code == expected
+    message = f"error: subspace and {route} disagree by {factor * tol:.3g} > {tol:g}\n"
+    assert err == ("" if expected == 0 else message)
+
+
+# accepted requests of 2^37 to 2^40 RK4 steps whose survival route, read
+# as 1 - ||psi_end||^2 from P^N - I, drifted 1.5e-6 and 2.1e-6 off eta
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rook --n 15 --state class:b --kappa 0.000177827941003892",
+        "jcg --half 100 --state class:c --kappa 0.0562341325190349",
+    ],
+    ids=["rook15", "jcg100"],
+)
+def test_long_oracle_runs_agree(capsys, argv):
+    code, out, err = run_cli(capsys, "efficiency", *argv.split(), "--oracle")
+    assert (code, err) == (0, "")
+    eta = json.loads(out)["eta"]
+    assert abs(eta["dynamic_survival"] - eta["subspace"]) <= 1e-9
 
 
 def test_step_count_cap_names_dt(capsys):

@@ -35,6 +35,7 @@ from _oracles import (
     brute_local_vertex_cut,
     brute_vertex_connectivity,
     normalized_laplacian,
+    reference_max_flow,
 )
 
 SMALL_INSTANCES = [
@@ -346,33 +347,49 @@ def test_bipartite_with_edges_removed_against_brute_force(flow_calls):
     assert any(removed > 0 for *_, removed in near_misses)
 
 
+def _pinned_max_flow(residual, s, t, cutoff):
+    """The kernel on `residual`, which must return the reference kernel's
+    flow and leave its final residual: run at every cutoff from 1 up, that
+    pins each augmenting path, not only the flow value."""
+    expected = residual.copy()
+    flow = connectivity._max_flow(residual, s, t, cutoff)
+    assert flow == reference_max_flow(expected, s, t, cutoff), (s, t, cutoff)
+    assert np.array_equal(residual, expected), (s, t, cutoff)
+    return flow
+
+
 def _check_flows(capacity, s, t, n, common, expected):
     """|C| plus the kernel from zero on `capacity` with the common neighbors
     C = `common` cut out gives min(maxflow, cutoff) at every cutoff above
     |C| up to the max flow and at n, as vertex_connectivity runs it (C is
-    empty on the edge network). Returns how many of those cutoffs were
-    below the max flow."""
-    below = 0
+    empty on the edge network), along the reference kernel's paths.
+    Returns how many of those cutoffs were below the max flow, and the
+    largest residual entry left."""
+    below = peak = 0
     for cutoff in sorted({*range(common.size + 1, expected + 1), n}):
         residual = capacity.copy()
         residual[common, common + n] = 0
-        flow = connectivity._max_flow(residual, s, t, cutoff - common.size)
+        flow = _pinned_max_flow(residual, s, t, cutoff - common.size)
         assert common.size + flow == min(expected, cutoff), (s, t, cutoff, common)
         below += cutoff < expected
-    return below
+        peak = max(peak, int(residual.max()))
+    return below, peak
 
 
 def test_flows_from_zero_and_without_common_neighbors_match_brute_force():
-    # on both networks the kernel runs on, against brute-force local cuts,
-    # always from zero: the edge network as edge_connectivity runs it, and
-    # the split network with the common neighbors cut out; every fourth
-    # graph has two components, so some t are unreachable
+    # on both networks the kernel runs on, against brute-force local cuts
+    # and along the reference kernel's paths, always from zero: the edge
+    # network as edge_connectivity runs it, where an arc carrying flow
+    # leaves its reverse at residual 2, and the split network with the
+    # common neighbors cut out; every fourth graph has two components, so
+    # some t are unreachable
     rng = random.Random("preflow")
     seen = {
         "below cutoff": 0,
         "unreachable": 0,
         "residual exhausted": 0,
         "first level": 0,
+        "residual 2": 0,
     }
     for k in range(40):
         n = rng.randint(4, 10)
@@ -392,17 +409,19 @@ def test_flows_from_zero_and_without_common_neighbors_match_brute_force():
         for v in range(n):
             for w in range(v + 1, n):
                 cut = brute_local_edge_cut(n, edges, v, w)
-                seen["below cutoff"] += _check_flows(capacity, v, w, n, np.array([], int), cut)
+                below, peak = _check_flows(capacity, v, w, n, np.array([], int), cut)
+                seen["below cutoff"] += below
+                seen["residual 2"] += peak == 2
                 seen["unreachable"] += (v < side) != (w < side)
                 if adj[v, w]:
                     seen["first level"] += 1
                     # s_out -> t_in has capacity n: every BFS ends at level 1
                     for cutoff in range(1, n + 1):
-                        assert connectivity._max_flow(split.copy(), v + n, w, cutoff) == cutoff
+                        assert _pinned_max_flow(split.copy(), v + n, w, cutoff) == cutoff
                     continue
                 common = np.flatnonzero(adj[v] & adj[w])
                 cut = brute_local_vertex_cut(n, edges, v, w)
-                seen["below cutoff"] += _check_flows(split, v + n, w, n, common, cut)
+                seen["below cutoff"] += _check_flows(split, v + n, w, n, common, cut)[0]
                 # the common neighbors alone separate v and w
                 seen["residual exhausted"] += 0 < common.size == cut
     assert min(seen.values()) > 20, seen

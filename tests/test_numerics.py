@@ -267,6 +267,24 @@ def test_evolve_matches_per_step_rk4(l, kappa, v, kwargs):
     assert ev.t_final == ref["t_final"]
     assert abs(ev.absorbed - ref["absorbed"]) <= 1e-10
     assert np.max(np.abs(ev.psi - ref["psi"])) <= 1e-10
+    # on runs this short P^N - I is exact enough that the one-step losses
+    # summed by doubling and the end state's missing norm agree
+    assert abs(ev.lost - (1.0 - np.linalg.norm(ev.psi) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("factor, stable", [(1.0 + 1e-6, False), (1.0 - 1e-6, True)])
+def test_rk4_stability_edge_on_k2(factor, stable):
+    # K2 at kappa = 0 has spectrum {0, 2}: RK4 is stable for dt * 2 up to
+    # 2 sqrt(2) on the imaginary axis, so the edge is dt = sqrt(2)
+    l = laplacian(build_complete(2))
+    dt = math.sqrt(2.0) * factor
+    psi0 = np.array([0.0, 1.0], dtype=complex)
+    if stable:
+        ev = evolve_trapped(l, 0.0, psi0, dt=dt, t_max=10 * dt)
+        assert 0.99 < np.linalg.norm(ev.psi) <= 1.0
+    else:
+        with pytest.raises(UnstableStepError, match="stability region"):
+            evolve_trapped(l, 0.0, psi0, dt=dt, t_max=10 * dt)
 
 
 def _horizon(g, kappa):

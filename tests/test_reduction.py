@@ -287,3 +287,15 @@ def test_subspace_basis_rejects_non_orthonormal():
         SubspaceBasis(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         SubspaceBasis(np.array([[2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("skew, valid", [(1e-9, False), (1e-12, True)])
+def test_subspace_basis_orthonormality_threshold(skew, valid):
+    # the second row, still of unit norm, leans `skew` toward the first:
+    # the Gram matrix is off by about `skew` against the 1e-10 tolerance
+    vectors = np.array([[1.0, 0.0, 0.0], [math.sin(skew), math.cos(skew), 0.0]])
+    if valid:
+        assert SubspaceBasis(vectors).m == 2
+    else:
+        with pytest.raises(ValueError, match="orthonormal"):
+            SubspaceBasis(vectors)
